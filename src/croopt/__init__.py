@@ -26,12 +26,10 @@ from .benchmarks import (
     as_objective,
     evaluate_benchmark,
     generate_transform,
-    load_transform,
     make_instance,
     make_suite,
     optimal_point,
     optimum_residual,
-    save_transform,
 )
 from .core import (
     Molecule,
@@ -59,7 +57,6 @@ from .operators import (
     synthesize_structure,
 )
 from .reactions import (
-    REACTION_COST,
     ReactionKind,
     ReactionOutcome,
     decomposition,

@@ -1,6 +1,8 @@
-"""Outer loops: canonical CRO variants and the adaptive ACRO variants.
+"""The reaction loop shared by the canonical CRO and adaptive ACRO variants.
 
-Canonical CRO exposes eight tunables. The adaptive variants keep only the
+Both families run the same four reactions in one loop; they differ only in
+how the next reaction is chosen and how the step size evolves. Canonical
+CRO exposes eight tunables. The adaptive variants keep only the
 population size, the collision rate, and a change rate governing how often
 variable-population reactions are attempted; everything else is derived at
 initialization or evolves from run feedback:
@@ -23,15 +25,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (
-    Molecule,
-    ReactorState,
-    assert_energy_conserved,
-    evaluate_and_count,
-    total_energy,
-    update_best,
-)
-from .errors import EnergyConservationError, InvalidConfig
+from .core import Molecule, ReactorState, evaluate_and_count, update_best
+from .errors import InvalidConfig
 from .operators import BoundaryRule, SynthesisRule
 from .reactions import (
     ReactionKind,
@@ -119,9 +114,6 @@ class CROConfig:
     adapt_interval: int = 100
     adapt_rate: float = 0.99
     max_fes: int = 300_000
-
-
-AlgorithmConfig = ACROConfig | CROConfig
 
 
 def default_config(variant, max_fes=300_000):
@@ -346,130 +338,117 @@ def _pick_pair(state, rng):
     return i, j
 
 
-def _perform(kind, state, spec, rng):
+def _react_acro(state, spec, cfg, rng):
+    """ACRO: the feedback scheme picks the reaction, then its molecules."""
+    kind = select_reaction_acro(state, cfg, rng)
     if kind is ReactionKind.ON_WALL:
         return on_wall_collision(state, spec, _pick_one(state, rng), rng)
     if kind is ReactionKind.DECOMPOSITION:
         return decomposition(state, spec, _pick_one(state, rng), rng)
-    if kind is ReactionKind.INTER_MOLECULAR:
-        i, j = _pick_pair(state, rng)
-        return intermolecular_collision(state, spec, i, j, rng)
     i, j = _pick_pair(state, rng)
+    if kind is ReactionKind.INTER_MOLECULAR:
+        return intermolecular_collision(state, spec, i, j, rng)
     return synthesis(state, spec, i, j, rng)
 
 
-def _checkpoint_grid(max_fes):
-    return [k * max_fes // 100 for k in range(1, 101)]
+def _react_cro(state, spec, cfg, rng):
+    """Canonical CRO: the threshold scheme picks the reaction.
+
+    A coll_rate draw picks uni- vs inter-molecular and the molecules are
+    drawn; a pair with both KEs under syn_thres merges, a molecule whose
+    inactive degree exceeds dec_thres decomposes.
+    """
+    if rng.random() < cfg.coll_rate and len(state.population) >= 2:
+        i, j = _pick_pair(state, rng)
+        pop = state.population
+        if pop[i].ke < cfg.syn_thres and pop[j].ke < cfg.syn_thres:
+            return synthesis(state, spec, i, j, rng)
+        return intermolecular_collision(state, spec, i, j, rng)
+    i = _pick_one(state, rng)
+    if state.population[i].inactive_degree > cfg.dec_thres:
+        return decomposition(state, spec, i, rng)
+    return on_wall_collision(state, spec, i, rng)
 
 
-class _TraceRecorder:
-    def __init__(self, max_fes, trace_hook):
-        self.grid = _checkpoint_grid(max_fes)
-        self.next_index = 0
-        self.trace = []
-        self.trace_hook = trace_hook
-
-    def flush(self, state):
-        while self.next_index < 100 and self.grid[self.next_index] <= state.fe_count:
-            point = (self.grid[self.next_index], state.best_pe)
-            self.trace.append(point)
-            if self.trace_hook is not None:
-                self.trace_hook(*point)
-            self.next_index += 1
+def _success_rule(state, cfg):
+    """ACRO: the success rule, which fires only at update checkpoints."""
+    step_size_rule(state)
 
 
-def _drive(state, spec, cfg, rng, choose, after_reaction, trace_hook,
-           iteration_hook, ledger_interval, adaptive_step):
-    """The common reaction loop; terminates with the budget spent exactly.
+def _evaluation_decay(state, cfg):
+    """CRO/D: one multiplicative decay per adapt_interval evaluations,
+    counting the initial population's evaluations."""
+    while state.fe_count >= (state.step_decays + 1) * cfg.adapt_interval:
+        state.step_size *= cfg.adapt_rate
+        state.step_decays += 1
 
-    ``choose`` selects (and for canonical CRO performs molecule pairing for)
-    the next reaction. When a single evaluation remains, an on-wall
-    collision is forced so two-evaluation reactions never strand budget.
+
+def _extend_trace(trace, state):
+    """Record the best PE at every checkpoint k * max_fes // 100 reached."""
+    while len(trace) < 100:
+        fe = (len(trace) + 1) * state.max_fes // 100
+        if fe > state.fe_count:
+            return
+        trace.append((fe, state.best_pe))
+
+
+def _drive(state, spec, cfg, rng, observer):
+    """The reaction loop of every variant; ends with the budget spent exactly.
+
+    The config type picks the two things ACRO changes: how the next reaction
+    is chosen, and how the step size adapts after each best-update (and once
+    after initialization); the other canonical variants keep a fixed step.
+    When a single evaluation remains, an on-wall collision is forced so
+    two-evaluation reactions never strand budget.
     """
     started = time.perf_counter()
-    recorder = _TraceRecorder(cfg.max_fes, trace_hook)
-    recorder.flush(state)
-    iteration = 0
+    if isinstance(cfg, ACROConfig):
+        react, adapt_step = _react_acro, _success_rule
+    elif cfg.variant is Variant.CRO_D:
+        react, adapt_step = _react_cro, _evaluation_decay
+    else:
+        react, adapt_step = _react_cro, None
+    if adapt_step is not None:
+        adapt_step(state, cfg)
+    trace = []
+    _extend_trace(trace, state)
+    if observer is not None:
+        observer(state)
     while state.fe_count < cfg.max_fes:
-        check_ledger = ledger_interval is not None and iteration % ledger_interval == 0
-        before = total_energy(state) if check_ledger else 0.0
         if cfg.max_fes - state.fe_count == 1:
             outcome = on_wall_collision(state, spec, _pick_one(state, rng), rng)
         else:
-            outcome = choose(state, spec, rng)
-        if check_ledger and outcome.success:
-            after = total_energy(state)
-            if not assert_energy_conserved(before, after):
-                raise EnergyConservationError(
-                    f"{outcome.kind.value}: {before!r} -> {after!r}"
-                )
+            outcome = react(state, spec, cfg, rng)
         for structure, pe in outcome.new_structures:
             update_best(state, structure, pe)
-            if adaptive_step:
-                step_size_rule(state)
-        if after_reaction is not None:
-            after_reaction(state)
-        recorder.flush(state)
-        if iteration_hook is not None:
-            iteration_hook(state)
-        iteration += 1
+            if adapt_step is not None:
+                adapt_step(state, cfg)
+        _extend_trace(trace, state)
+        if observer is not None:
+            observer(state)
     return RunResult(
         best_pe=state.best_pe,
         best_solution=state.best_solution,
-        trace=recorder.trace,
+        trace=trace,
         fe_count=state.fe_count,
         wall_time=time.perf_counter() - started,
         state=state,
     )
 
 
-def run_acro(spec, cfg, rng, trace_hook=None, iteration_hook=None,
-             ledger_interval=None):
-    """Run one adaptive optimization until the evaluation budget is spent."""
-    state = acro_init(spec, cfg, rng)
+def run_acro(spec, cfg, rng, observer=None):
+    """Run one adaptive optimization until the evaluation budget is spent.
 
-    def choose(state, spec, rng):
-        kind = select_reaction_acro(state, cfg, rng)
-        return _perform(kind, state, spec, rng)
-
-    return _drive(state, spec, cfg, rng, choose, None, trace_hook,
-                  iteration_hook, ledger_interval, adaptive_step=True)
+    ``observer(state)``, if given, is called once after initialization and
+    after every reaction. It sees the live reactor and must not change it;
+    it never receives the generator, so it cannot perturb the random stream.
+    """
+    return _drive(acro_init(spec, cfg, rng), spec, cfg, rng, observer)
 
 
-def run_cro(spec, cfg, rng, trace_hook=None, iteration_hook=None,
-            ledger_interval=None):
+def run_cro(spec, cfg, rng, observer=None):
     """Run one canonical optimization until the evaluation budget is spent.
 
-    Reaction choice follows the threshold scheme: a coll_rate draw picks
-    uni- vs inter-molecular; a pair with both KEs under syn_thres merges,
-    a molecule whose inactive degree exceeds dec_thres decomposes.
+    ``observer`` works as for :func:`run_acro`.
     """
-    state = cro_init(spec, cfg, rng)
-
-    def choose(state, spec, rng):
-        if rng.random() < cfg.coll_rate and len(state.population) >= 2:
-            i, j = _pick_pair(state, rng)
-            pop = state.population
-            if pop[i].ke < cfg.syn_thres and pop[j].ke < cfg.syn_thres:
-                return synthesis(state, spec, i, j, rng)
-            return intermolecular_collision(state, spec, i, j, rng)
-        i = _pick_one(state, rng)
-        if state.population[i].inactive_degree > cfg.dec_thres:
-            return decomposition(state, spec, i, rng)
-        return on_wall_collision(state, spec, i, rng)
-
-    after_reaction = None
-    if cfg.variant is Variant.CRO_D:
-        schedule = {"next": cfg.adapt_interval}
-
-        def after_reaction(state):
-            # Multiplicative decay after every adapt_interval evaluations,
-            # counting the initial population's evaluations.
-            while state.fe_count >= schedule["next"]:
-                state.step_size *= cfg.adapt_rate
-                schedule["next"] += cfg.adapt_interval
-
-        after_reaction(state)
-
-    return _drive(state, spec, cfg, rng, choose, after_reaction, trace_hook,
-                  iteration_hook, ledger_interval, adaptive_step=False)
+    return _drive(cro_init(spec, cfg, rng), spec, cfg, rng, observer)

@@ -10,14 +10,14 @@ the truncated Schwefel 2.26 constant.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .core import ObjectiveSpec
-from .errors import ChecksumMismatch, DimensionMismatch, FormatError
+from .errors import DimensionMismatch, FormatError
 
 DEFAULT_BOUND = 100.0
 #: Shifts are drawn inside [-80, 80] so every shifted optimum stays strictly
@@ -114,36 +114,12 @@ def penalized_2(z):
     return float(np.pi / z.shape[0] * (head + body + tail) + u_penalty(z, 10.0))
 
 
-_BASE_FUNCS = {
-    "sphere": sphere,
-    "schwefel_1_2": schwefel_1_2,
-    "schwefel_2_21": schwefel_2_21,
-    "schwefel_2_22": schwefel_2_22,
-    "rosenbrock": rosenbrock,
-    "discus": discus,
-    "ackley": ackley,
-    "schwefel_2_26": schwefel_2_26,
-    "rastrigin": rastrigin,
-    "griewank": griewank,
-    "levy": levy,
-    "penalized_1": penalized_1,
-    "penalized_2": penalized_2,
-}
-
-#: Where the base function attains 0 (per transformed coordinate).
-_BASE_OPTIMUM = {
-    "rosenbrock": 1.0,
-    "penalized_1": 1.0,
-    "levy": -1.0,
-    "penalized_2": -1.0,
-    "schwefel_2_26": 420.9687,
-}
-
-
 @dataclass(frozen=True)
 class FunctionDef:
     id: int
-    base: str
+    base: Callable[[np.ndarray], float]
+    #: Where the base function attains 0, per transformed coordinate.
+    optimum: float
     shifted: bool
     rotated: bool
     scale: float
@@ -151,30 +127,31 @@ class FunctionDef:
 
 
 FUNCTION_TABLE = (
-    FunctionDef(1, "sphere", True, False, 1.0, "Shifted Sphere"),
-    FunctionDef(2, "schwefel_1_2", True, False, 1.0, "Shifted Schwefel 1.2"),
-    FunctionDef(3, "schwefel_1_2", True, True, 1.0, "Shifted Rotated Schwefel 1.2"),
-    FunctionDef(4, "schwefel_2_21", True, False, 1.0, "Shifted Schwefel 2.21"),
-    FunctionDef(5, "schwefel_2_21", True, True, 1.0, "Shifted Rotated Schwefel 2.21"),
-    FunctionDef(6, "schwefel_2_22", True, False, 0.1, "Shifted Schwefel 2.22"),
-    FunctionDef(7, "schwefel_2_22", True, True, 0.1, "Shifted Rotated Schwefel 2.22"),
-    FunctionDef(8, "rosenbrock", True, False, 0.3, "Shifted Rosenbrock"),
-    FunctionDef(9, "rosenbrock", True, True, 0.3, "Shifted Rotated Rosenbrock"),
-    FunctionDef(10, "discus", True, False, 1.0, "Shifted Discus"),
-    FunctionDef(11, "ackley", True, False, 0.32, "Shifted Ackley"),
-    FunctionDef(12, "ackley", True, True, 0.32, "Shifted Rotated Ackley"),
-    FunctionDef(13, "schwefel_2_26", False, False, 5.0, "Schwefel 2.26"),
-    FunctionDef(14, "schwefel_2_26", False, True, 5.0, "Rotated Schwefel 2.26"),
-    FunctionDef(15, "rastrigin", True, False, 0.0512, "Shifted Rastrigin"),
-    FunctionDef(16, "rastrigin", True, True, 0.0512, "Shifted Rotated Rastrigin"),
-    FunctionDef(17, "griewank", True, False, 6.0, "Shifted Griewank"),
-    FunctionDef(18, "griewank", True, True, 6.0, "Shifted Rotated Griewank"),
-    FunctionDef(19, "levy", True, False, 0.1, "Shifted Levy"),
-    FunctionDef(20, "levy", True, True, 0.1, "Shifted Rotated Levy"),
-    FunctionDef(21, "penalized_1", True, False, 0.5, "Shifted Penalized 1"),
-    FunctionDef(22, "penalized_1", True, True, 0.5, "Shifted Rotated Penalized 1"),
-    FunctionDef(23, "penalized_2", True, False, 0.5, "Shifted Penalized 2"),
-    FunctionDef(24, "penalized_2", True, True, 0.5, "Shifted Rotated Penalized 2"),
+    # id, base, optimum, shifted, rotated, scale, name
+    FunctionDef(1, sphere, 0.0, True, False, 1.0, "Shifted Sphere"),
+    FunctionDef(2, schwefel_1_2, 0.0, True, False, 1.0, "Shifted Schwefel 1.2"),
+    FunctionDef(3, schwefel_1_2, 0.0, True, True, 1.0, "Shifted Rotated Schwefel 1.2"),
+    FunctionDef(4, schwefel_2_21, 0.0, True, False, 1.0, "Shifted Schwefel 2.21"),
+    FunctionDef(5, schwefel_2_21, 0.0, True, True, 1.0, "Shifted Rotated Schwefel 2.21"),
+    FunctionDef(6, schwefel_2_22, 0.0, True, False, 0.1, "Shifted Schwefel 2.22"),
+    FunctionDef(7, schwefel_2_22, 0.0, True, True, 0.1, "Shifted Rotated Schwefel 2.22"),
+    FunctionDef(8, rosenbrock, 1.0, True, False, 0.3, "Shifted Rosenbrock"),
+    FunctionDef(9, rosenbrock, 1.0, True, True, 0.3, "Shifted Rotated Rosenbrock"),
+    FunctionDef(10, discus, 0.0, True, False, 1.0, "Shifted Discus"),
+    FunctionDef(11, ackley, 0.0, True, False, 0.32, "Shifted Ackley"),
+    FunctionDef(12, ackley, 0.0, True, True, 0.32, "Shifted Rotated Ackley"),
+    FunctionDef(13, schwefel_2_26, 420.9687, False, False, 5.0, "Schwefel 2.26"),
+    FunctionDef(14, schwefel_2_26, 420.9687, False, True, 5.0, "Rotated Schwefel 2.26"),
+    FunctionDef(15, rastrigin, 0.0, True, False, 0.0512, "Shifted Rastrigin"),
+    FunctionDef(16, rastrigin, 0.0, True, True, 0.0512, "Shifted Rotated Rastrigin"),
+    FunctionDef(17, griewank, 0.0, True, False, 6.0, "Shifted Griewank"),
+    FunctionDef(18, griewank, 0.0, True, True, 6.0, "Shifted Rotated Griewank"),
+    FunctionDef(19, levy, -1.0, True, False, 0.1, "Shifted Levy"),
+    FunctionDef(20, levy, -1.0, True, True, 0.1, "Shifted Rotated Levy"),
+    FunctionDef(21, penalized_1, 1.0, True, False, 0.5, "Shifted Penalized 1"),
+    FunctionDef(22, penalized_1, 1.0, True, True, 0.5, "Shifted Rotated Penalized 1"),
+    FunctionDef(23, penalized_2, -1.0, True, False, 0.5, "Shifted Penalized 2"),
+    FunctionDef(24, penalized_2, -1.0, True, True, 0.5, "Shifted Rotated Penalized 2"),
 )
 
 _DEFS_BY_ID = {d.id: d for d in FUNCTION_TABLE}
@@ -208,7 +185,7 @@ class TransformData:
 @dataclass(eq=False)
 class BenchmarkInstance:
     func_id: int
-    base: str
+    base: Callable[[np.ndarray], float]
     transform: TransformData
     dimension: int
     lower: np.ndarray
@@ -305,7 +282,7 @@ def evaluate_benchmark(inst, x):
         z = inst.transform.rotation @ z
     if inst.transform.scale != 1.0:
         z = z * inst.transform.scale
-    return _BASE_FUNCS[inst.base](z)
+    return inst.base(z)
 
 
 def optimal_point(inst):
@@ -315,7 +292,7 @@ def optimal_point(inst):
     may fall outside the search box for large base optima; the evaluation is
     still well-defined.
     """
-    target = np.full(inst.dimension, _BASE_OPTIMUM.get(inst.base, 0.0))
+    target = np.full(inst.dimension, _DEFS_BY_ID[inst.func_id].optimum)
     if inst.rotated:
         target = inst.transform.rotation.T @ target
     point = target / inst.transform.scale
@@ -340,68 +317,7 @@ def as_objective(inst):
 
 
 # ---------------------------------------------------------------------------
-# persistence
-
-def _canonical_lines(transform):
-    lines = [" ".join(repr(float(v)) for v in transform.shift)]
-    for row in transform.rotation:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    return lines
-
-
-def save_transform(path, func_id, transform):
-    """Write transform data as plain text with a trailing CRC32 line."""
-    func_id = parse_func_id(func_id)
-    dim = transform.shift.shape[0]
-    lines = _canonical_lines(transform)
-    crc = zlib.crc32("\n".join(lines).encode("utf-8"))
-    path = Path(path)
-    path.write_text(
-        f"f{func_id} {dim} {transform.seed}\n" + "\n".join(lines) + f"\n{crc}\n",
-        encoding="utf-8",
-    )
-    return path
-
-
-def load_transform(path):
-    """Read a transform file back; returns (func_id, TransformData)."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line.strip()]
-    if len(lines) < 2:
-        raise FormatError(f"{path}: too short to be a transform file")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise FormatError(f"{path}: header must be 'id D seed'")
-    func_id = parse_func_id(header[0])
-    try:
-        dim = int(header[1])
-        seed = int(header[2])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad header: {exc}") from None
-    if len(lines) != 1 + 1 + dim + 1:
-        raise FormatError(
-            f"{path}: expected {dim + 3} lines for D={dim}, found {len(lines)}"
-        )
-    payload = lines[1:-1]
-    try:
-        stated_crc = int(lines[-1])
-    except ValueError:
-        raise FormatError(f"{path}: checksum line is not an integer") from None
-    try:
-        shift = np.array([float(v) for v in payload[0].split()])
-        rotation = np.array([[float(v) for v in row.split()] for row in payload[1:]])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad number: {exc}") from None
-    if shift.shape != (dim,) or rotation.shape != (dim, dim):
-        raise FormatError(f"{path}: payload shapes disagree with D={dim}")
-    transform = TransformData(
-        shift=shift, rotation=rotation, scale=_DEFS_BY_ID[func_id].scale, seed=seed
-    )
-    actual_crc = zlib.crc32("\n".join(_canonical_lines(transform)).encode("utf-8"))
-    if actual_crc != stated_crc:
-        raise ChecksumMismatch(f"{path}: crc {actual_crc} != stated {stated_crc}")
-    return func_id, transform
-
+# raw transform files
 
 def load_cec_shift(path, dim):
     """First ``dim`` numbers of a raw whitespace-separated shift file."""

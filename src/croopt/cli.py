@@ -21,6 +21,7 @@ from .benchmarks import (
     make_instance,
     optimal_point,
     optimum_residual,
+    schwefel_2_26,
     u_penalty,
 )
 from .errors import CROError
@@ -114,7 +115,7 @@ def _cmd_verify(args):
     all_ok = True
     for fdef in FUNCTION_TABLE:
         inst = make_instance(fdef.id, args.dim, args.transform_seed)
-        tol = GOLDEN_TOL_SCHWEFEL226 if fdef.base == "schwefel_2_26" else GOLDEN_TOL
+        tol = GOLDEN_TOL_SCHWEFEL226 if fdef.base is schwefel_2_26 else GOLDEN_TOL
         residual = optimum_residual(inst)
         all_ok &= _verify_line(
             inst.label, abs(residual) < tol, f"optimum residual {residual:.3e}"

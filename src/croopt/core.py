@@ -95,10 +95,8 @@ class ReactorState:
     # Drawn for every molecule created mid-run; None means children inherit
     # the parent's loss rate (the canonical global-constant behaviour).
     child_loss_rate: Optional[Callable[[np.random.Generator], float]] = None
-
-    @property
-    def update_count(self):
-        return self.update_window.updates_seen
+    # Step decays applied so far; only CRO/D decays its step.
+    step_decays: int = 0
 
 
 def evaluate_and_count(state, spec, solution):
@@ -132,9 +130,3 @@ def update_best(state, candidate, pe):
         state.best_solution = np.array(candidate, dtype=float)
     state.update_window.record(improved)
     return improved
-
-
-def assert_energy_conserved(before, after, rel_tol=1e-9):
-    """Check two ledger snapshots agree to relative tolerance."""
-    scale = max(abs(before), abs(after), 1.0)
-    return abs(after - before) <= rel_tol * scale

@@ -29,16 +29,8 @@ class InvalidConfig(CROError):
     """An algorithm configuration field is missing or out of range."""
 
 
-class EnergyConservationError(CROError):
-    """A successful reaction failed the total-energy ledger check."""
-
-
 class FormatError(CROError):
-    """A transform file is malformed or truncated."""
-
-
-class ChecksumMismatch(CROError):
-    """A transform file's checksum does not match its payload."""
+    """A function id or a raw transform file is malformed or truncated."""
 
 
 class EmptyCell(CROError):
@@ -56,3 +48,8 @@ class ExperimentError(CROError):
         self.benchmark = benchmark
         self.seed = seed
         self.cause = cause
+
+    def __reduce__(self):
+        # Rebuilt from the four constructor arguments, so the error survives
+        # the trip back from a pool worker with its context intact.
+        return type(self), (self.algorithm, self.benchmark, self.seed, self.cause)

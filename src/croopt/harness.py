@@ -188,34 +188,27 @@ def render_summary_csv(summary):
     return "\n".join(lines) + "\n"
 
 
-def emit_results(summary, records, out_dir, formats=("summary", "records", "traces")):
+def emit_results(summary, records, out_dir):
     """Write summary.csv, records.jsonl, and traces.csv under ``out_dir``."""
     if not records:
         raise EmptyCell("refusing to emit results for an empty record set")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "summary" in formats:
-        path = out_dir / "summary.csv"
-        path.write_text(render_summary_csv(summary), encoding="utf-8", newline="\n")
-        written.append(path)
-    if "records" in formats:
-        path = out_dir / "records.jsonl"
-        path.write_text(
-            "".join(record.to_json() + "\n" for record in records),
-            encoding="utf-8",
-            newline="\n",
-        )
-        written.append(path)
-    if "traces" in formats:
-        path = out_dir / "traces.csv"
-        lines = ["algorithm,benchmark,dimension,seed,fe,best"]
-        for record in records:
-            for fe, best in record.trace:
-                lines.append(
-                    f"{record.algorithm},{record.benchmark},{record.dimension},"
-                    f"{record.seed},{fe},{best!r}"
-                )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-        written.append(path)
-    return written
+    summary_path = out_dir / "summary.csv"
+    summary_path.write_text(render_summary_csv(summary), encoding="utf-8", newline="\n")
+    records_path = out_dir / "records.jsonl"
+    records_path.write_text(
+        "".join(record.to_json() + "\n" for record in records),
+        encoding="utf-8",
+        newline="\n",
+    )
+    traces_path = out_dir / "traces.csv"
+    lines = ["algorithm,benchmark,dimension,seed,fe,best"]
+    for record in records:
+        for fe, best in record.trace:
+            lines.append(
+                f"{record.algorithm},{record.benchmark},{record.dimension},"
+                f"{record.seed},{fe},{best!r}"
+            )
+    traces_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return [summary_path, records_path, traces_path]

@@ -26,15 +26,6 @@ class ReactionKind(Enum):
     SYNTHESIS = "synthesis"
 
 
-#: Objective evaluations each reaction consumes, success or not.
-REACTION_COST = {
-    ReactionKind.ON_WALL: 1,
-    ReactionKind.DECOMPOSITION: 2,
-    ReactionKind.INTER_MOLECULAR: 2,
-    ReactionKind.SYNTHESIS: 1,
-}
-
-
 @dataclass
 class ReactionOutcome:
     kind: ReactionKind
@@ -42,7 +33,6 @@ class ReactionOutcome:
     #: Every trial structure evaluated by the reaction, with its PE, in
     #: generation order. Used by the run loop for best-ever tracking.
     new_structures: list[tuple[np.ndarray, float]]
-    population_delta: int
 
 
 def _require_budget(state, cost):
@@ -78,7 +68,7 @@ def on_wall_collision(state, spec, index, rng):
         q = rng.uniform(mol.loss_rate, 1.0)
         state.buffer += excess * (1.0 - q)
         mol.accept(trial, trial_pe, excess * q)
-    return ReactionOutcome(ReactionKind.ON_WALL, success, [(trial, trial_pe)], 0)
+    return ReactionOutcome(ReactionKind.ON_WALL, success, [(trial, trial_pe)])
 
 
 def decomposition(state, spec, index, rng):
@@ -111,9 +101,7 @@ def decomposition(state, spec, index, rng):
             surplus = 0.0
             success = True
     if not success:
-        return ReactionOutcome(
-            ReactionKind.DECOMPOSITION, False, [(c1, pe1), (c2, pe2)], 0
-        )
+        return ReactionOutcome(ReactionKind.DECOMPOSITION, False, [(c1, pe1), (c2, pe2)])
     share = rng.random()
     child1 = Molecule.fresh(c1, pe1, surplus * share, _child_loss_rate(state, mol, rng))
     child2 = Molecule.fresh(
@@ -122,7 +110,7 @@ def decomposition(state, spec, index, rng):
     del state.population[index]
     state.population.append(child1)
     state.population.append(child2)
-    return ReactionOutcome(ReactionKind.DECOMPOSITION, True, [(c1, pe1), (c2, pe2)], 1)
+    return ReactionOutcome(ReactionKind.DECOMPOSITION, True, [(c1, pe1), (c2, pe2)])
 
 
 def intermolecular_collision(state, spec, i, j, rng):
@@ -153,9 +141,7 @@ def intermolecular_collision(state, spec, i, j, rng):
         k = rng.random()
         m1.accept(t1, pe1, pool * k)
         m2.accept(t2, pe2, pool * (1.0 - k))
-    return ReactionOutcome(
-        ReactionKind.INTER_MOLECULAR, success, [(t1, pe1), (t2, pe2)], 0
-    )
+    return ReactionOutcome(ReactionKind.INTER_MOLECULAR, success, [(t1, pe1), (t2, pe2)])
 
 
 def synthesis(state, spec, i, j, rng):
@@ -190,6 +176,4 @@ def synthesis(state, spec, i, j, rng):
         for index in sorted((i, j), reverse=True):
             del state.population[index]
         state.population.append(child)
-    return ReactionOutcome(
-        ReactionKind.SYNTHESIS, success, [(trial, trial_pe)], -1 if success else 0
-    )
+    return ReactionOutcome(ReactionKind.SYNTHESIS, success, [(trial, trial_pe)])

@@ -80,6 +80,30 @@ def molecule(structure, pe, ke, loss_rate=0.1):
     return Molecule.fresh(np.asarray(structure, dtype=float), pe, ke, loss_rate)
 
 
+class LedgerObserver:
+    """Run observer checking the energy ledger after every reaction.
+
+    Each call compares buffer + sum(PE + KE) with the value at the previous
+    call, to ``rel_tol`` relative. Failed reactions are checked too: they
+    must leave every energy untouched.
+    """
+
+    def __init__(self, rel_tol=1e-9):
+        self.rel_tol = rel_tol
+        self.totals = []
+
+    def __call__(self, state):
+        total = total_energy(state)
+        if self.totals:
+            before = self.totals[-1]
+            scale = max(abs(before), abs(total), 1.0)
+            assert abs(total - before) <= self.rel_tol * scale, (
+                f"energy ledger moved from {before!r} to {total!r} "
+                f"after {len(self.totals)} calls"
+            )
+        self.totals.append(total)
+
+
 def conservation_trial(kind, rng):
     """One randomized reaction on a random reactor; returns (success, rel_err).
 
@@ -153,7 +177,7 @@ def drive_scripted_window(n, successes_per_period, periods=3):
             pe = state.best_pe + 1.0
         update_best(state, np.zeros(3), pe)
         step_size_rule(state)
-        if state.update_window.full and state.update_count % n == 0:
+        if state.update_window.full and state.update_window.updates_seen % n == 0:
             factors.append(state.step_size[0] / previous)
         previous = state.step_size[0]
     return factors

@@ -24,6 +24,7 @@ from croopt.benchmarks import (
     make_instance,
     as_objective,
     optimum_residual,
+    schwefel_2_26,
     u_penalty,
 )
 from croopt.cli import main
@@ -179,7 +180,7 @@ def test_criterion_08_benchmark_golden_values():
     for fdef in FUNCTION_TABLE:
         inst = make_instance(fdef.id, 30)
         residual = abs(optimum_residual(inst))
-        if fdef.base == "schwefel_2_26":
+        if fdef.base is schwefel_2_26:
             ok &= residual < 1e-3
             worst_226 = max(worst_226, residual)
         else:
@@ -208,7 +209,7 @@ def test_criterion_09_population_stability():
         as_objective(inst),
         cfg,
         np.random.default_rng(BASE_SEED),
-        iteration_hook=lambda s: sizes.append(len(s.population)),
+        observer=lambda s: sizes.append(len(s.population)),
     )
     sizes = np.asarray(sizes)
     mean = float(sizes.mean())

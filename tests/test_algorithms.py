@@ -219,7 +219,7 @@ def test_cro_population_constant_when_thresholds_disable_changes():
         as_objective(inst),
         cfg,
         np.random.default_rng(11),
-        iteration_hook=lambda s: sizes.add(len(s.population)),
+        observer=lambda s: sizes.add(len(s.population)),
     )
     assert sizes == {20}
 
@@ -287,7 +287,7 @@ def test_population_changes_by_at_most_one_per_iteration():
         as_objective(inst),
         cfg,
         np.random.default_rng(13),
-        iteration_hook=lambda s: sizes.append(len(s.population)),
+        observer=lambda s: sizes.append(len(s.population)),
     )
     deltas = {b - a for a, b in zip(sizes, sizes[1:])}
     assert deltas <= {-1, 0, 1}
@@ -302,7 +302,7 @@ def test_population_stays_near_initial_size():
         as_objective(inst),
         cfg,
         np.random.default_rng(14),
-        iteration_hook=lambda s: sizes.append(len(s.population)),
+        observer=lambda s: sizes.append(len(s.population)),
     )
     assert 1 <= min(sizes) and max(sizes) <= 3 * cfg.ini_pop_size
 

@@ -10,17 +10,16 @@ from croopt.benchmarks import (
     instance_from_cec_dir,
     load_cec_rotation,
     load_cec_shift,
-    load_transform,
     make_instance,
     make_suite,
     optimal_point,
     optimum_residual,
     parse_func_id,
-    save_transform,
     schwefel_1_2,
+    schwefel_2_26,
     u_penalty,
 )
-from croopt.errors import ChecksumMismatch, DimensionMismatch, FormatError
+from croopt.errors import DimensionMismatch, FormatError
 
 SEED = 901
 
@@ -77,7 +76,7 @@ def test_constructed_optima(fdef):
     # The 418.9829 constant truncates the true 418.98288727..., leaving a
     # floor of ~1.27e-5 per dimension for the Schwefel 2.26 pair.
     inst = make_instance(fdef.id, 30, SEED)
-    tol = 1e-3 if fdef.base == "schwefel_2_26" else 1e-6
+    tol = 1e-3 if fdef.base is schwefel_2_26 else 1e-6
     assert abs(optimum_residual(inst)) < tol
 
 
@@ -125,39 +124,6 @@ def test_transform_generation_is_deterministic():
     assert np.array_equal(a.rotation, b.rotation)
     c = generate_transform(SEED + 1, 16, 30)
     assert not np.array_equal(a.shift, c.shift)
-
-
-def test_save_load_round_trip(tmp_path):
-    t = generate_transform(SEED, 7, 12)
-    path = save_transform(tmp_path / "f7.txt", 7, t)
-    func_id, loaded = load_transform(path)
-    assert func_id == 7
-    assert np.array_equal(loaded.shift, t.shift)
-    assert np.array_equal(loaded.rotation, t.rotation)
-    assert loaded.scale == t.scale
-    assert loaded.seed == t.seed
-
-
-def test_load_transform_rejects_truncation(tmp_path):
-    t = generate_transform(SEED, 7, 12)
-    path = save_transform(tmp_path / "f7.txt", 7, t)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:5]) + "\n")
-    with pytest.raises(FormatError):
-        load_transform(path)
-
-
-def test_load_transform_rejects_corruption(tmp_path):
-    t = generate_transform(SEED, 7, 12)
-    path = save_transform(tmp_path / "f7.txt", 7, t)
-    text = path.read_text()
-    lines = text.splitlines()
-    numbers = lines[1].split()
-    numbers[0] = "1.25" if numbers[0] != "1.25" else "2.25"
-    lines[1] = " ".join(numbers)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ChecksumMismatch):
-        load_transform(path)
 
 
 def test_cec_shift_fixture_parses(tmp_path):

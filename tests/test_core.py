@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from croopt.algorithms import ACROConfig, run_acro
+import croopt.algorithms
+from croopt.algorithms import ACROConfig, CROConfig, run_acro, run_cro
 from croopt.benchmarks import as_objective, make_instance, sphere
 from croopt.core import evaluate_and_count, total_energy, update_best
 from croopt.errors import NonFiniteObjective
 from croopt.reactions import on_wall_collision
 
-from helpers import const_objective, make_state, molecule
+from helpers import LedgerObserver, const_objective, make_state, molecule
 
 
 def test_shifted_sphere_at_shift_is_zero():
@@ -67,7 +68,7 @@ def test_update_best_strict_improvement():
     state.best_pe = 5.0
     assert update_best(state, np.array([1.0]), 3.0) is True
     assert state.best_pe == 3.0
-    assert state.update_count == 1
+    assert state.update_window.updates_seen == 1
 
 
 def test_update_best_tie_is_not_success():
@@ -82,7 +83,7 @@ def test_update_best_sequence():
     state.best_pe = 10.0
     outcomes = [update_best(state, np.array([1.0]), pe) for pe in (9.0, 7.0, 8.0, 3.0)]
     assert outcomes == [True, True, False, True]
-    assert state.update_count == 4
+    assert state.update_window.updates_seen == 4
     assert state.update_window.successes == 3
 
 
@@ -96,21 +97,41 @@ def test_update_best_copies_candidate():
 
 
 def test_energy_ledger_conserved_over_acro_run():
-    # ~10k iterations on the shifted sphere; the ledger is checked both
-    # in-loop (every iteration) and via before/after snapshots.
+    # ~10k reactions on the shifted sphere; the ledger is checked after every
+    # reaction against the previous total and, over the whole run, against
+    # the initial total. The canonical run with a low dec_thres adds
+    # decompositions and syntheses to the mix.
     inst = make_instance("f1", 30)
-    cfg = ACROConfig(max_fes=12_000)
-    totals = []
-    run_acro(
-        as_objective(inst),
-        cfg,
-        np.random.default_rng(11),
-        iteration_hook=lambda state: totals.append(total_energy(state)),
-        ledger_interval=1,
+    runs = (
+        (run_acro, ACROConfig(max_fes=12_000)),
+        (run_cro, CROConfig(dec_thres=50, max_fes=12_000)),
     )
-    totals = np.asarray(totals)
-    scale = max(abs(totals[0]), 1.0)
-    assert np.max(np.abs(totals - totals[0])) <= 1e-9 * scale
+    for run, cfg in runs:
+        ledger = LedgerObserver()
+        run(as_objective(inst), cfg, np.random.default_rng(11), observer=ledger)
+        totals = np.asarray(ledger.totals)
+        assert len(totals) > 6_000
+        scale = max(abs(totals[0]), 1.0)
+        assert np.max(np.abs(totals - totals[0])) <= 1e-9 * scale
+
+
+def test_ledger_observer_catches_a_leaking_reaction(monkeypatch):
+    # The driver calls reactions through croopt.algorithms, so wrapping the
+    # name there makes every on-wall collision create 1.0 of energy.
+    def leaking(state, *args):
+        outcome = on_wall_collision(state, *args)
+        state.buffer += 1.0
+        return outcome
+
+    monkeypatch.setattr(croopt.algorithms, "on_wall_collision", leaking)
+    inst = make_instance("f1", 10)
+    with pytest.raises(AssertionError, match="energy ledger moved"):
+        run_acro(
+            as_objective(inst),
+            ACROConfig(max_fes=200),
+            np.random.default_rng(11),
+            observer=LedgerObserver(),
+        )
 
 
 def test_rejected_reaction_leaves_state_bit_identical():

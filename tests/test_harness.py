@@ -5,7 +5,7 @@ import pytest
 
 from croopt.benchmarks import make_instance
 from croopt.cli import main
-from croopt.errors import EmptyCell, ExperimentError
+from croopt.errors import EmptyCell, ExperimentError, InvalidConfig
 from croopt.harness import (
     RunRecord,
     emit_results,
@@ -102,13 +102,6 @@ def test_emit_results_refuses_empty(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_emit_results_honors_format_subset(tmp_path):
-    records = [record(1.0)]
-    written = emit_results(summarize(records), records, tmp_path, formats=("summary",))
-    assert [p.name for p in written] == ["summary.csv"]
-    assert not (tmp_path / "records.jsonl").exists()
-
-
 def test_run_experiment_degenerate_budget_returns_initial_best():
     inst = make_instance("f1", 10, SEED)
     summary, records = run_experiment(
@@ -157,12 +150,19 @@ def test_run_experiment_orders_records_canonically():
 
 
 def test_run_experiment_wraps_failures_with_context():
+    # Under parallelism the error is pickled back from a worker process and
+    # must arrive as the same ExperimentError, not as a broken pool.
     inst = make_instance("f1", 10, SEED)
-    with pytest.raises(ExperimentError) as err:
-        run_experiment(["ACRO/BP"], [inst], runs=1, max_fes=5, base_seed=9)
-    assert err.value.algorithm == "ACRO/BP"
-    assert err.value.benchmark == "f1"
-    assert err.value.seed == 9
+    for parallelism in (1, 2):
+        with pytest.raises(ExperimentError) as err:
+            run_experiment(
+                ["ACRO/BP"], [inst], runs=1, max_fes=5, base_seed=9,
+                parallelism=parallelism,
+            )
+        assert err.value.algorithm == "ACRO/BP"
+        assert err.value.benchmark == "f1"
+        assert err.value.seed == 9
+        assert isinstance(err.value.cause, InvalidConfig)
 
 
 def test_run_experiment_streams_records_to_sink():
@@ -215,6 +215,20 @@ def test_cli_reports_machine_readable_errors(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()[-1]
     parsed = json.loads(err)
     assert parsed["error"] == "InvalidConfig"
+
+
+def test_cli_reports_worker_failures_as_one_json_line(tmp_path, capfd):
+    code = main([
+        "run", "--algo", "ACRO/BP", "--func", "f1", "--dim", "10",
+        "--runs", "1", "--max-fes", "5", "--parallel", "2",
+        "--out", str(tmp_path),
+    ])
+    assert code == 1
+    err_lines = capfd.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    parsed = json.loads(err_lines[0])
+    assert parsed["error"] == "ExperimentError"
+    assert "ACRO/BP on f1 (seed 0)" in parsed["message"]
 
 
 def test_cli_cec_data_import(tmp_path):

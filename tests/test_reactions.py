@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from croopt.algorithms import draw_loss_rate
+from croopt.core import ObjectiveSpec
 from croopt.errors import BudgetExhausted, PopulationTooSmall, SameMolecule
 from croopt.reactions import (
-    REACTION_COST,
     ReactionKind,
     decomposition,
     intermolecular_collision,
@@ -14,6 +14,7 @@ from croopt.reactions import (
 
 from helpers import (
     ScriptedRNG,
+    box_bounds,
     collect_conserved,
     const_objective,
     make_state,
@@ -32,7 +33,7 @@ def test_on_wall_failure_when_trial_exceeds_tolerance():
     assert mol.pe == 10.0 and mol.ke == 5.0
     assert np.array_equal(mol.structure, np.zeros(3))
     assert outcome.new_structures[0][1] == 20.0
-    assert outcome.population_delta == 0
+    assert len(state.population) == 1
 
 
 def test_on_wall_energy_split_with_forced_q():
@@ -99,7 +100,6 @@ def test_decomposition_surplus_split_without_buffer():
     state = make_state([parent], buffer=0.0)
     outcome = decomposition(state, spec, 0, np.random.default_rng(3))
     assert outcome.success is True
-    assert outcome.population_delta == 1
     assert len(state.population) == 2
     kes = sorted(m.ke for m in state.population)
     assert kes[0] >= 0.0
@@ -199,7 +199,6 @@ def test_synthesis_child_keeps_leftover_energy():
     state = make_state(mols)
     outcome = synthesis(state, spec, 0, 1, np.random.default_rng(12))
     assert outcome.success is True
-    assert outcome.population_delta == -1
     assert len(state.population) == 1
     child = state.population[0]
     assert child.pe == 9.0
@@ -213,7 +212,6 @@ def test_synthesis_failure_keeps_parents():
     state = make_state(mols)
     outcome = synthesis(state, spec, 0, 1, np.random.default_rng(13))
     assert outcome.success is False
-    assert outcome.population_delta == 0
     assert len(state.population) == 2
     assert all(m.num_hit == 1 for m in state.population)
     assert state.fe_count == 1
@@ -237,13 +235,36 @@ def test_synthesis_needs_two_molecules():
         synthesis(state, spec, 0, 1, np.random.default_rng(15))
 
 
+#: Objective evaluations each reaction consumes, success or not.
+COST = {
+    ReactionKind.ON_WALL: 1,
+    ReactionKind.DECOMPOSITION: 2,
+    ReactionKind.INTER_MOLECULAR: 2,
+    ReactionKind.SYNTHESIS: 1,
+}
+
+#: Population-size change per (kind, success): only a successful
+#: decomposition grows the population and only a successful synthesis
+#: shrinks it.
+POPULATION_CHANGE = {
+    (ReactionKind.ON_WALL, True): 0,
+    (ReactionKind.ON_WALL, False): 0,
+    (ReactionKind.DECOMPOSITION, True): 1,
+    (ReactionKind.DECOMPOSITION, False): 0,
+    (ReactionKind.INTER_MOLECULAR, True): 0,
+    (ReactionKind.INTER_MOLECULAR, False): 0,
+    (ReactionKind.SYNTHESIS, True): -1,
+    (ReactionKind.SYNTHESIS, False): 0,
+}
+
+
 @pytest.mark.parametrize(
     "kind", [k for k in ReactionKind]
 )
 def test_reactions_respect_budget(kind):
     spec = const_objective(3, 1.0)
     mols = [molecule(np.zeros(3), 3.0, 2.0), molecule(np.ones(3), 4.0, 1.0)]
-    state = make_state(mols, max_fes=REACTION_COST[kind] - 1)
+    state = make_state(mols, max_fes=COST[kind] - 1)
     rng = np.random.default_rng(16)
     with pytest.raises(BudgetExhausted):
         if kind is ReactionKind.ON_WALL:
@@ -279,13 +300,17 @@ def test_energy_conservation_randomized(kind):
 
 
 def test_population_delta_contract():
-    spec = sphere_objective(3)
+    # Half the molecules start without kinetic energy and PEs are offset
+    # below zero (a child could never cost more than two nonnegative parents),
+    # so every reaction kind also fails and all eight pairs are covered.
+    lower, upper = box_bounds(3)
+    spec = ObjectiveSpec(3, lower, upper, lambda x: float(x @ x) - 100.0)
     rng = np.random.default_rng(18)
+    seen = set()
     for _ in range(500):
         mols = [
-            molecule(rng.uniform(-10, 10, 3), 0.0, rng.uniform(0, 1e4)),
-            molecule(rng.uniform(-10, 10, 3), 0.0, rng.uniform(0, 1e4)),
-            molecule(rng.uniform(-10, 10, 3), 0.0, rng.uniform(0, 1e4)),
+            molecule(rng.uniform(-10, 10, 3), 0.0, rng.uniform(0, 1e4) * (rng.random() < 0.5))
+            for _ in range(3)
         ]
         for m in mols:
             m.pe = spec.evaluate(m.structure)
@@ -300,5 +325,7 @@ def test_population_delta_contract():
             outcome = intermolecular_collision(state, spec, 0, 1, rng)
         else:
             outcome = synthesis(state, spec, 0, 1, rng)
-        assert len(state.population) - size == outcome.population_delta
-        assert outcome.population_delta in (-1, 0, 1)
+        key = (outcome.kind, outcome.success)
+        assert len(state.population) - size == POPULATION_CHANGE[key], key
+        seen.add(key)
+    assert seen == set(POPULATION_CHANGE)
