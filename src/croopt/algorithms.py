@@ -18,6 +18,7 @@ initialization or evolves from run feedback:
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Molecule, ReactorState, evaluate_and_count, update_best
-from .errors import InvalidConfig
+from .errors import DimensionMismatch, InvalidConfig
 from .operators import BoundaryRule, SynthesisRule
 from .reactions import (
     ReactionKind,
@@ -153,6 +154,27 @@ def validate_config(cfg):
         _check(0.0 < cfg.adapt_rate < 1.0, "adapt_rate must lie in (0, 1)")
 
 
+def _validate_objective(spec):
+    """Check the search box once per run: shapes, finiteness, lower < upper.
+
+    The finite width matters too: boundary repair scales a unit draw by
+    ``upper - lower``.
+    """
+    dim = spec.dimension
+    if not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise DimensionMismatch(f"dimension must be a positive integer, got {dim!r}")
+    for name in ("lower", "upper"):
+        shape = np.shape(getattr(spec, name))
+        if shape != (dim,):
+            raise DimensionMismatch(f"{name} has shape {shape}, expected ({dim},)")
+    lower = np.asarray(spec.lower, dtype=float)
+    upper = np.asarray(spec.upper, dtype=float)
+    _check(np.isfinite(lower).all() and np.isfinite(upper).all(), "bounds must be finite")
+    _check((lower < upper).all(), "lower must lie below upper in every element")
+    with np.errstate(over="ignore"):
+        _check(np.isfinite(upper - lower).all(), "upper - lower overflows")
+
+
 class SuccessWindow:
     """Sliding record of the last 10n best-update outcomes.
 
@@ -181,9 +203,6 @@ class SuccessWindow:
     @property
     def full(self):
         return len(self.outcomes) == self.capacity
-
-    def at_checkpoint(self):
-        return self.updates_seen > 0 and self.updates_seen % self.n == 0
 
 
 def draw_loss_rate(rng):
@@ -232,7 +251,8 @@ def step_size_rule(state):
     shrinks by 0.85.
     """
     window = state.update_window
-    if not window.at_checkpoint():
+    seen = window.updates_seen
+    if seen == 0 or seen % window.n:
         return
     if window.successes > 2 * window.n:
         state.step_size /= STEP_ADAPT_FACTOR
@@ -298,7 +318,7 @@ def cro_init(spec, cfg, rng):
         best_pe=float("inf"),
         best_solution=None,
         step_size=np.full(spec.dimension, float(cfg.step_size)),
-        update_window=SuccessWindow(_window_n(cfg.max_fes)),
+        update_window=None,
         boundary_rule=cfg.variant.boundary_rule,
         synthesis_rule=cfg.variant.synthesis_rule,
         max_fes=cfg.max_fes,
@@ -370,11 +390,6 @@ def _react_cro(state, spec, cfg, rng):
     return on_wall_collision(state, spec, i, rng)
 
 
-def _success_rule(state, cfg):
-    """ACRO: the success rule, which fires only at update checkpoints."""
-    step_size_rule(state)
-
-
 def _evaluation_decay(state, cfg):
     """CRO/D: one multiplicative decay per adapt_interval evaluations,
     counting the initial population's evaluations."""
@@ -384,46 +399,55 @@ def _evaluation_decay(state, cfg):
 
 
 def _extend_trace(trace, state):
-    """Record the best PE at every checkpoint k * max_fes // 100 reached."""
+    """Record the best PE at every checkpoint k * max_fes // 100 reached.
+
+    Returns the evaluation count at which the next checkpoint falls due.
+    """
     while len(trace) < 100:
         fe = (len(trace) + 1) * state.max_fes // 100
         if fe > state.fe_count:
-            return
+            return fe
         trace.append((fe, state.best_pe))
+    return math.inf
 
 
 def _drive(state, spec, cfg, rng, observer):
     """The reaction loop of every variant; ends with the budget spent exactly.
 
     The config type picks the two things ACRO changes: how the next reaction
-    is chosen, and how the step size adapts after each best-update (and once
-    after initialization); the other canonical variants keep a fixed step.
-    When a single evaluation remains, an on-wall collision is forced so
-    two-evaluation reactions never strand budget.
+    is chosen, and how the step size adapts. ACRO runs keep a success window
+    and apply the success rule after every best-update; CRO/D decays its
+    step by the evaluation count after every reaction; the other canonical
+    variants keep a fixed step. Each step rule also runs once after
+    initialization. When a single evaluation remains, an on-wall collision
+    is forced so two-evaluation reactions never strand budget.
     """
     started = time.perf_counter()
-    if isinstance(cfg, ACROConfig):
-        react, adapt_step = _react_acro, _success_rule
-    elif cfg.variant is Variant.CRO_D:
-        react, adapt_step = _react_cro, _evaluation_decay
-    else:
-        react, adapt_step = _react_cro, None
-    if adapt_step is not None:
-        adapt_step(state, cfg)
+    react = _react_acro if isinstance(cfg, ACROConfig) else _react_cro
+    success_rule = state.update_window is not None
+    decay = cfg.variant is Variant.CRO_D
+    if success_rule:
+        step_size_rule(state)
+    if decay:
+        _evaluation_decay(state, cfg)
+    max_fes = cfg.max_fes
     trace = []
-    _extend_trace(trace, state)
+    next_checkpoint = _extend_trace(trace, state)
     if observer is not None:
         observer(state)
-    while state.fe_count < cfg.max_fes:
-        if cfg.max_fes - state.fe_count == 1:
+    while state.fe_count < max_fes:
+        if max_fes - state.fe_count == 1:
             outcome = on_wall_collision(state, spec, _pick_one(state, rng), rng)
         else:
             outcome = react(state, spec, cfg, rng)
         for structure, pe in outcome.new_structures:
             update_best(state, structure, pe)
-            if adapt_step is not None:
-                adapt_step(state, cfg)
-        _extend_trace(trace, state)
+            if success_rule:
+                step_size_rule(state)
+        if decay:
+            _evaluation_decay(state, cfg)
+        if state.fe_count >= next_checkpoint:
+            next_checkpoint = _extend_trace(trace, state)
         if observer is not None:
             observer(state)
     return RunResult(
@@ -442,13 +466,16 @@ def run_acro(spec, cfg, rng, observer=None):
     ``observer(state)``, if given, is called once after initialization and
     after every reaction. It sees the live reactor and must not change it;
     it never receives the generator, so it cannot perturb the random stream.
+    The search box is validated once, before anything is drawn.
     """
+    _validate_objective(spec)
     return _drive(acro_init(spec, cfg, rng), spec, cfg, rng, observer)
 
 
 def run_cro(spec, cfg, rng, observer=None):
     """Run one canonical optimization until the evaluation budget is spent.
 
-    ``observer`` works as for :func:`run_acro`.
+    ``observer`` and the box validation work as for :func:`run_acro`.
     """
+    _validate_objective(spec)
     return _drive(cro_init(spec, cfg, rng), spec, cfg, rng, observer)

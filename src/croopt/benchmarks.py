@@ -39,11 +39,11 @@ def schwefel_1_2(z):
     # Diagonally weighted sphere: sum_i i * z_i^2. The double sum's inner
     # index runs over the outer variable, which is what collapses it.
     weights = np.arange(1, z.shape[0] + 1, dtype=float)
-    return float(np.sum(weights * z * z))
+    return float((weights * z * z).sum())
 
 
 def schwefel_2_21(z):
-    return float(np.max(np.abs(z)))
+    return float(np.abs(z).max())
 
 
 def schwefel_2_22(z):
@@ -52,41 +52,41 @@ def schwefel_2_22(z):
 
 
 def rosenbrock(z):
-    return float(np.sum(100.0 * (z[:-1] ** 2 - z[1:]) ** 2 + (z[:-1] - 1.0) ** 2))
+    return float((100.0 * (z[:-1] ** 2 - z[1:]) ** 2 + (z[:-1] - 1.0) ** 2).sum())
 
 
 def discus(z):
-    return float(1e6 * z[0] ** 2 + np.sum(z[1:] ** 2))
+    return float(1e6 * z[0] ** 2 + (z[1:] ** 2).sum())
 
 
 def ackley(z):
     n = z.shape[0]
     return float(
-        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(z * z) / n))
-        - np.exp(np.sum(np.cos(_TWO_PI * z)) / n)
+        -20.0 * np.exp(-0.2 * np.sqrt((z * z).sum() / n))
+        - np.exp(np.cos(_TWO_PI * z).sum() / n)
         + 20.0
         + np.e
     )
 
 
 def schwefel_2_26(z):
-    return float(418.9829 * z.shape[0] - np.sum(z * np.sin(np.sqrt(np.abs(z)))))
+    return float(418.9829 * z.shape[0] - (z * np.sin(np.sqrt(np.abs(z)))).sum())
 
 
 def rastrigin(z):
-    return float(np.sum(z * z - 10.0 * np.cos(_TWO_PI * z) + 10.0))
+    return float((z * z - 10.0 * np.cos(_TWO_PI * z) + 10.0).sum())
 
 
 def griewank(z):
     # Product divisor is the 1-based index itself, not its square root.
     i = np.arange(1, z.shape[0] + 1, dtype=float)
-    return float(np.sum(z * z) / 4000.0 - np.prod(np.cos(z / i)) + 1.0)
+    return float((z * z).sum() / 4000.0 - np.cos(z / i).prod() + 1.0)
 
 
 def levy(z):
     y = 1.0 + 0.25 * (z + 1.0)
     head = np.sin(np.pi * y[0]) ** 2
-    body = np.sum((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(y[1:]) ** 2))
+    body = ((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(y[1:]) ** 2)).sum()
     tail = (y[-1] - 1.0) ** 2 * (1.0 + np.sin(_TWO_PI * y[-1]) ** 2)
     return float(head + body + tail)
 
@@ -96,12 +96,12 @@ def u_penalty(z, a, k=100.0, m=4.0):
     z = np.asarray(z, dtype=float)
     over = np.maximum(z - a, 0.0)
     under = np.maximum(-z - a, 0.0)
-    return float(np.sum(k * (over**m + under**m)))
+    return float((k * (over**m + under**m)).sum())
 
 
 def penalized_1(z):
     head = np.sin(3.0 * np.pi * z[0]) ** 2
-    body = np.sum((z[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * z[1:]) ** 2))
+    body = ((z[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * z[1:]) ** 2)).sum()
     tail = (z[-1] - 1.0) ** 2 * (1.0 + np.sin(_TWO_PI * z[-1]) ** 2)
     return float(0.1 * (head + body + tail) + u_penalty(z, 5.0))
 
@@ -109,7 +109,7 @@ def penalized_1(z):
 def penalized_2(z):
     y = 1.0 + 0.25 * (z + 1.0)
     head = 10.0 * np.sin(np.pi * y[0]) ** 2
-    body = np.sum((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[1:]) ** 2))
+    body = ((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[1:]) ** 2)).sum()
     tail = (y[-1] - 1.0) ** 2
     return float(np.pi / z.shape[0] * (head + body + tail) + u_penalty(z, 10.0))
 
@@ -179,7 +179,6 @@ class TransformData:
     shift: np.ndarray
     rotation: np.ndarray
     scale: float
-    seed: int
 
 
 @dataclass(eq=False)
@@ -190,6 +189,9 @@ class BenchmarkInstance:
     dimension: int
     lower: np.ndarray
     upper: np.ndarray
+    # Copied from the function's table row, so evaluation reads plain fields.
+    shifted: bool
+    rotated: bool
 
     @property
     def label(self):
@@ -198,14 +200,6 @@ class BenchmarkInstance:
     @property
     def name(self):
         return _DEFS_BY_ID[self.func_id].name
-
-    @property
-    def shifted(self):
-        return _DEFS_BY_ID[self.func_id].shifted
-
-    @property
-    def rotated(self):
-        return _DEFS_BY_ID[self.func_id].rotated
 
 
 def _random_orthogonal(dim, rng):
@@ -229,8 +223,7 @@ def generate_transform(base_seed, func_id, dim):
         rotation = _random_orthogonal(dim, rng)
     else:
         rotation = np.eye(dim)
-    return TransformData(shift=shift, rotation=rotation, scale=fdef.scale,
-                         seed=int(base_seed))
+    return TransformData(shift=shift, rotation=rotation, scale=fdef.scale)
 
 
 def make_instance(func_id, dim, transform_seed=DEFAULT_TRANSFORM_SEED,
@@ -262,6 +255,8 @@ def make_instance(func_id, dim, transform_seed=DEFAULT_TRANSFORM_SEED,
         dimension=dim,
         lower=np.full(dim, -DEFAULT_BOUND),
         upper=np.full(dim, DEFAULT_BOUND),
+        shifted=fdef.shifted,
+        rotated=fdef.rotated,
     )
 
 
@@ -277,11 +272,12 @@ def evaluate_benchmark(inst, x):
         raise DimensionMismatch(
             f"point has shape {x.shape}, expected ({inst.dimension},)"
         )
-    z = x - inst.transform.shift if inst.shifted else x
+    transform = inst.transform
+    z = x - transform.shift if inst.shifted else x
     if inst.rotated:
-        z = inst.transform.rotation @ z
-    if inst.transform.scale != 1.0:
-        z = z * inst.transform.scale
+        z = transform.rotation @ z
+    if transform.scale != 1.0:
+        z = z * transform.scale
     return inst.base(z)
 
 
@@ -353,5 +349,5 @@ def instance_from_cec_dir(func_id, dim, data_dir):
     rotation = np.eye(dim)
     if fdef.rotated:
         rotation = load_cec_rotation(data_dir / f"f{func_id}_M.txt", dim)
-    transform = TransformData(shift=shift, rotation=rotation, scale=fdef.scale, seed=-1)
+    transform = TransformData(shift=shift, rotation=rotation, scale=fdef.scale)
     return make_instance(func_id, dim, transform=transform)

@@ -24,7 +24,6 @@ from .benchmarks import (
     schwefel_2_26,
     u_penalty,
 )
-from .errors import CROError
 from .harness import emit_results, run_experiment
 
 #: Everything except the truncated-constant pair must hit its optimum almost
@@ -165,7 +164,7 @@ def main(argv=None):
         if args.command == "verify-benchmarks":
             return _cmd_verify(args)
         return _cmd_list(args)
-    except (CROError, OSError) as exc:
+    except Exception as exc:  # every failure becomes the one JSON error line
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

@@ -5,7 +5,8 @@ solution plus its potential energy (the objective value, minimized), its
 kinetic energy (tolerance for accepting worse solutions), collision counters,
 and a per-molecule energy loss rate. The reactor owns the population, the
 central energy buffer, the evaluation counter, the best-ever record, the
-per-element step sizes, and the success window feeding step adaptation.
+per-element step sizes, and (in adaptive runs) the success window feeding
+step adaptation.
 """
 
 from __future__ import annotations
@@ -86,7 +87,9 @@ class ReactorState:
     best_pe: float
     best_solution: Optional[np.ndarray]
     step_size: np.ndarray
-    update_window: "SuccessWindow"
+    # Best-update outcomes for ACRO's success rule; None in canonical runs,
+    # which never read it.
+    update_window: Optional["SuccessWindow"]
     boundary_rule: BoundaryRule
     synthesis_rule: SynthesisRule
     max_fes: Optional[int] = None
@@ -122,11 +125,12 @@ def update_best(state, candidate, pe):
 
     Only a strict improvement counts as a successful update (ties would let
     plateau noise inflate the success-rule count). Every call, successful or
-    not, is recorded in the success window.
+    not, is recorded in the success window when the run keeps one.
     """
     improved = pe < state.best_pe
     if improved:
         state.best_pe = pe
         state.best_solution = np.array(candidate, dtype=float)
-    state.update_window.record(improved)
+    if state.update_window is not None:
+        state.update_window.record(improved)
     return improved

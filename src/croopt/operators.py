@@ -31,15 +31,19 @@ class SynthesisRule(Enum):
 def apply_boundary(value, lower, upper, rule, rng):
     """Repair a single out-of-bounds value; in-bounds values pass through.
 
-    Draw order for out-of-bounds input: BP draws one uniform; HP first draws
-    the clamp coin, then a uniform only when the coin misses.
+    Draw order for out-of-bounds input: BP re-samples the value as
+    ``lower + (upper - lower) * rng.random()``; HP first draws the clamp coin
+    with ``rng.random()``, then re-samples the same way only when the coin
+    misses. The re-sample is the formula ``Generator.uniform(lower, upper)``
+    evaluates, so it gives the same bits from the same stream, at a fraction
+    of the call cost.
     """
     if lower <= value <= upper:
         return float(value)
     if rule is BoundaryRule.HP:
         if rng.random() < 0.5:
             return float(upper if value > upper else lower)
-    return float(rng.uniform(lower, upper))
+    return float(lower + (upper - lower) * rng.random())
 
 
 def _repair(values, lower, upper, rule, rng):
@@ -61,9 +65,12 @@ def neighborhood_search(s, step_size, lower, upper, rule, rng):
     Draw order: element index, Gaussian offset, then any boundary repair.
     """
     out = np.array(s, dtype=float)
-    i = int(rng.integers(out.shape[0]))
-    out[i] += rng.normal(0.0, float(step_size[i]))
-    out[i] = apply_boundary(out[i], lower[i], upper[i], rule, rng)
+    i = int(rng.integers(len(out)))
+    value = out.item(i) + rng.normal(0.0, step_size[i])
+    lo, hi = lower[i], upper[i]
+    if not lo <= value <= hi:
+        value = apply_boundary(value, lo, hi, rule, rng)
+    out[i] = value
     return out
 
 

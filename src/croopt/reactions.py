@@ -65,7 +65,8 @@ def on_wall_collision(state, spec, index, rng):
     success = mol.pe + mol.ke >= trial_pe
     if success:
         excess = mol.pe + mol.ke - trial_pe
-        q = rng.uniform(mol.loss_rate, 1.0)
+        # q ~ Uniform[loss_rate, 1], spelled as Generator.uniform computes it.
+        q = mol.loss_rate + (1.0 - mol.loss_rate) * rng.random()
         state.buffer += excess * (1.0 - q)
         mol.accept(trial, trial_pe, excess * q)
     return ReactionOutcome(ReactionKind.ON_WALL, success, [(trial, trial_pe)])

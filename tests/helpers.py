@@ -15,12 +15,15 @@ from croopt.reactions import (
 
 
 class ScriptedRNG:
-    """Stand-in for a numpy Generator with queued scalar draws per method."""
+    """Stand-in for a numpy Generator with queued scalar draws per method.
 
-    def __init__(self, integers=(), normal=(), uniform=(), random=()):
+    It has no ``uniform``: the reactions draw scalar uniforms through
+    ``random()``, and a scripted test fails loudly if that ever changes.
+    """
+
+    def __init__(self, integers=(), normal=(), random=()):
         self._integers = list(integers)
         self._normal = list(normal)
-        self._uniform = list(uniform)
         self._random = list(random)
 
     def integers(self, high):
@@ -28,9 +31,6 @@ class ScriptedRNG:
 
     def normal(self, loc=0.0, scale=1.0):
         return self._normal.pop(0)
-
-    def uniform(self, low=0.0, high=1.0):
-        return self._uniform.pop(0)
 
     def random(self, size=None):
         return self._random.pop(0)

@@ -20,8 +20,8 @@ from croopt.algorithms import (
     step_size_rule,
 )
 from croopt.benchmarks import as_objective, make_instance
-from croopt.core import update_best
-from croopt.errors import InvalidConfig
+from croopt.core import ObjectiveSpec, update_best
+from croopt.errors import DimensionMismatch, InvalidConfig
 from croopt.operators import BoundaryRule, SynthesisRule
 from croopt.reactions import ReactionKind
 
@@ -307,6 +307,35 @@ def test_population_stays_near_initial_size():
     assert 1 <= min(sizes) and max(sizes) <= 3 * cfg.ini_pop_size
 
 
+def _box(lower, upper, dimension=3):
+    return ObjectiveSpec(dimension, lower, upper, lambda x: float(x @ x))
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        (_box(np.full(2, -1.0), np.full(3, 1.0)), DimensionMismatch),
+        (_box(np.full(3, -1.0), np.full((3, 1), 1.0)), DimensionMismatch),
+        (_box(np.full(3, -1.0), np.full(3, 1.0), dimension=0), DimensionMismatch),
+        (_box(np.array([-1.0, np.nan, -1.0]), np.full(3, 1.0)), InvalidConfig),
+        (_box(np.full(3, -1.0), np.array([1.0, 1.0, np.inf])), InvalidConfig),
+        (_box(np.full(3, -1.0), np.array([1.0, -1.0, 1.0])), InvalidConfig),
+        (_box(np.full(3, 1.0), np.full(3, -1.0)), InvalidConfig),
+        (_box(np.full(3, -1e308), np.full(3, 1e308)), InvalidConfig),
+    ],
+    ids=["lower-length", "upper-shape", "zero-dimension", "nan-bound",
+         "infinite-bound", "empty-interval", "swapped-bounds", "width-overflow"],
+)
+@pytest.mark.parametrize("runner, cfg", [(run_acro, ACROConfig(max_fes=100)),
+                                         (run_cro, CROConfig(max_fes=100))])
+def test_runs_reject_malformed_boxes_before_drawing(spec, error, runner, cfg):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(error):
+        runner(spec, cfg, rng)
+    assert rng.bit_generator.state == before
+
+
 def test_step_size_stays_positive():
     inst = make_instance("f1", 10)
     cfg = ACROConfig(max_fes=20_000)
@@ -323,3 +352,4 @@ def test_cro_init_uses_global_knobs():
     assert all(m.loss_rate == 0.1 for m in state.population)
     assert np.all(state.step_size == 1.0)
     assert state.child_loss_rate is None
+    assert state.update_window is None  # only the ACRO success rule reads it

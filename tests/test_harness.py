@@ -231,6 +231,18 @@ def test_cli_reports_worker_failures_as_one_json_line(tmp_path, capfd):
     assert "ACRO/BP on f1 (seed 0)" in parsed["message"]
 
 
+def test_cli_reports_unexpected_errors_as_one_json_line(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("croopt.cli.run_experiment", broken)
+    code = main(["run", "--algo", "ACRO/BP", "--func", "f1", "--out", str(tmp_path)])
+    assert code == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0]) == {"error": "RuntimeError", "message": "boom"}
+
+
 def test_cli_cec_data_import(tmp_path):
     data = tmp_path / "data"
     data.mkdir()

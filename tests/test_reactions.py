@@ -37,12 +37,12 @@ def test_on_wall_failure_when_trial_exceeds_tolerance():
 
 
 def test_on_wall_energy_split_with_forced_q():
-    # PE 10, KE 5, trial PE 12: excess 3; q = 0.4 keeps 1.2 as KE and
-    # hands 1.8 to the buffer.
+    # PE 10, KE 5, trial PE 12: excess 3; q = 0.1 + 0.9 * (1/3) = 0.4 keeps
+    # 1.2 as KE and hands 1.8 to the buffer.
     spec = const_objective(3, 12.0)
     mol = molecule(np.zeros(3), 10.0, 5.0, loss_rate=0.1)
     state = make_state([mol])
-    rng = ScriptedRNG(integers=[0], normal=[0.5], uniform=[0.4])
+    rng = ScriptedRNG(integers=[0], normal=[0.5], random=[1 / 3])
     outcome = on_wall_collision(state, spec, 0, rng)
     assert outcome.success is True
     assert mol.pe == 12.0
