@@ -6,9 +6,12 @@ population size and the final buffer. Any change to the random stream, to
 the reaction logic or to the bookkeeping changes a hash, so a refactor that
 keeps every hash keeps every result bit for bit.
 
-The three non-default configurations make the branches that rarely fire at
-default settings run often: variable-population reactions in ACRO, the
-canonical decomposition trigger, and the CRO/D step decay.
+The non-default configurations make the branches that rarely fire at
+default settings run often: variable-population reactions in each ACRO
+variant (so every synthesis operator and boundary rule runs), the canonical
+decomposition trigger, and the CRO/D step decay. At default settings no
+ACRO synthesis happens in 3000 evaluations, which is why ACRO/BB's default
+hashes equal ACRO/BP's.
 """
 
 import hashlib
@@ -37,13 +40,17 @@ CASES = {
     for func in ("f1", "f16")
     for seed in (1, 2)
 }
-CASES["ACRO/BP-change_rate=0.05"] = ("f16", 1, ACROConfig(change_rate=0.05, max_fes=MAX_FES))
+for variant in (Variant.ACRO_BP, Variant.ACRO_HP, Variant.ACRO_BB):
+    CASES[f"{variant.value}-change_rate=0.05"] = (
+        "f16", 1, ACROConfig(variant=variant, change_rate=0.05, max_fes=MAX_FES)
+    )
 CASES["CRO/BP-dec_thres=50"] = ("f16", 1, CROConfig(dec_thres=50, max_fes=MAX_FES))
 CASES["CRO/D-adapt_interval=10"] = (
     "f16", 1, CROConfig(variant=Variant.CRO_D, adapt_interval=10, max_fes=MAX_FES)
 )
 
 EXPECTED = {
+    "ACRO/BB-change_rate=0.05": "a80c38795de7e4c2c4acdc39f84ec6247e7af33c402279443b7bca7e7d5d0ff8",
     "ACRO/BB-f1-s1": "844e0157493d5be51b64e0d18ce7cd4111bf73ba4aed7351c9508c791c3952ea",
     "ACRO/BB-f1-s2": "95ead83d59d35e37ecb04110fa184346d17e0edd069df30ac6f56f19b8ac38fe",
     "ACRO/BB-f16-s1": "5560c909c60fddb1c4ab49270abba9464fb9164fa8deadcc8333e7a2a7057b0d",
@@ -53,6 +60,7 @@ EXPECTED = {
     "ACRO/BP-f1-s2": "95ead83d59d35e37ecb04110fa184346d17e0edd069df30ac6f56f19b8ac38fe",
     "ACRO/BP-f16-s1": "5560c909c60fddb1c4ab49270abba9464fb9164fa8deadcc8333e7a2a7057b0d",
     "ACRO/BP-f16-s2": "5911f9d60ef62696f3a17a0c98b5401842230124d0c6bfdfa3ea41594dab6107",
+    "ACRO/HP-change_rate=0.05": "d0ff87e93d2483aabe1db6a0b16e04d30a78d14a8ea39cb0619e0118681453da",
     "ACRO/HP-f1-s1": "4482760f35e32ed5c36734f0fbc9241e7e35aeedcb78313473f543eacf80ee13",
     "ACRO/HP-f1-s2": "956955ad9cabea5a66f386d99b36e4bfceef7a733e75cd2bb505deb392d30c93",
     "ACRO/HP-f16-s1": "8acf7685b58bd75880cf459149201fed83eccd8e527fca9656d20c3c8f94d7db",
