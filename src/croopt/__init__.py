@@ -4,7 +4,7 @@ from .algorithms import (
     ACROConfig,
     CROConfig,
     RunResult,
-    SuccessWindow,
+    SuccessRule,
     VARIANT_ORDER,
     Variant,
     acro_init,
@@ -16,7 +16,6 @@ from .algorithms import (
     run_acro,
     run_cro,
     select_reaction_acro,
-    step_size_rule,
 )
 from .benchmarks import (
     BenchmarkInstance,
@@ -27,7 +26,6 @@ from .benchmarks import (
     evaluate_benchmark,
     generate_transform,
     make_instance,
-    make_suite,
     optimal_point,
     optimum_residual,
 )

@@ -1,11 +1,12 @@
 """The reaction loop shared by the canonical CRO and adaptive ACRO variants.
 
-Both families run the same four reactions in one loop; they differ only in
-how the next reaction is chosen and how the step size evolves. Canonical
-CRO exposes eight tunables. The adaptive variants keep only the
-population size, the collision rate, and a change rate governing how often
-variable-population reactions are attempted; everything else is derived at
-initialization or evolves from run feedback:
+Both families build their reactor in one place and run the same four
+reactions in one loop; they differ only in how parameters are derived at
+initialization, how the next reaction is chosen and how the step size
+evolves. Canonical CRO exposes eight tunables. The adaptive variants keep
+only the population size, the collision rate, and a change rate governing
+how often variable-population reactions are attempted; everything else is
+derived at initialization or evolves from run feedback:
 
 * initial KE = (largest - smallest initial PE) x population size,
 * the central buffer starts empty,
@@ -175,34 +176,34 @@ def _validate_objective(spec):
         _check(np.isfinite(upper - lower).all(), "upper - lower overflows")
 
 
-class SuccessWindow:
-    """Sliding record of the last 10n best-update outcomes.
+class SuccessRule:
+    """ACRO's step-size adaptation, fed every best-update outcome by the loop.
 
-    Checkpoints land on every positive multiple of n updates. During the
-    warm-up (before 10n outcomes exist) the recorded prefix stands in for
-    the full window; the success threshold stays the fixed count 2n either
-    way, so an underfilled window can only shrink the step.
+    At every n-th update it counts the successes among the last 10n updates
+    (during the warm-up, among all updates so far): more than 2n grows every
+    step component by 1/0.85, otherwise all shrink by 0.85. The threshold
+    stays 2n during the warm-up, so an underfilled window can only shrink
+    the step. Counts are read only at multiples of n, so the window is kept
+    as the success counts of its last ten n-update blocks.
     """
 
     def __init__(self, n):
-        if n < 1:
-            raise InvalidConfig("success-window n must be >= 1")
-        self.n = int(n)
-        self.capacity = 10 * self.n
-        self.outcomes = deque()
+        self.n = n
+        self.blocks = deque(maxlen=10)
         self.successes = 0
-        self.updates_seen = 0
+        self.updates = 0
 
-    def record(self, success):
-        self.updates_seen += 1
-        if len(self.outcomes) == self.capacity:
-            self.successes -= self.outcomes.popleft()
-        self.outcomes.append(bool(success))
-        self.successes += success
-
-    @property
-    def full(self):
-        return len(self.outcomes) == self.capacity
+    def record(self, state, improved):
+        self.successes += improved
+        self.updates += 1
+        if self.updates < self.n:
+            return
+        self.blocks.append(self.successes)
+        self.successes = self.updates = 0
+        if sum(self.blocks) > 2 * self.n:
+            state.step_size /= STEP_ADAPT_FACTOR
+        else:
+            state.step_size *= STEP_ADAPT_FACTOR
 
 
 def draw_loss_rate(rng):
@@ -243,35 +244,26 @@ def select_reaction_acro(state, cfg, rng):
     return ReactionKind.ON_WALL
 
 
-def step_size_rule(state):
-    """Success-rule step adaptation; call after every best-update.
+def _init_reactor(spec, cfg, rng, **fields):
+    """Validate ``cfg`` and evaluate a uniform random in-bounds population.
 
-    At each n-update checkpoint: more than 2n successes among the windowed
-    updates grows every step component by 1/0.85, otherwise everything
-    shrinks by 0.85.
+    ``fields`` are the ReactorState fields the two families set differently.
+    Returns the reactor, with its best set but its population still empty,
+    and the initial structures and their PEs.
     """
-    window = state.update_window
-    seen = window.updates_seen
-    if seen == 0 or seen % window.n:
-        return
-    if window.successes > 2 * window.n:
-        state.step_size /= STEP_ADAPT_FACTOR
-    else:
-        state.step_size *= STEP_ADAPT_FACTOR
-
-
-def _window_n(max_fes):
-    return max(1, max_fes // 100)
-
-
-def _init_population(state, spec, cfg, rng):
-    """Uniform random in-bounds molecules, all evaluated; returns their PEs."""
+    validate_config(cfg)
+    state = ReactorState(
+        boundary_rule=cfg.variant.boundary_rule,
+        synthesis_rule=cfg.variant.synthesis_rule,
+        max_fes=cfg.max_fes,
+        **fields,
+    )
     structures = [rng.uniform(spec.lower, spec.upper) for _ in range(cfg.ini_pop_size)]
     pes = [evaluate_and_count(state, spec, s) for s in structures]
     best = int(np.argmin(pes))
     state.best_pe = pes[best]
     state.best_solution = np.array(structures[best], dtype=float)
-    return structures, pes
+    return state, structures, pes
 
 
 def acro_init(spec, cfg, rng):
@@ -279,29 +271,19 @@ def acro_init(spec, cfg, rng):
 
     The shared initial KE is (max PE - min PE) x population size, the buffer
     starts empty, per-element step sizes start at half the box width, and
-    every molecule gets its own folded-normal loss rate.
+    every molecule, initial or born mid-run, gets its own folded-normal loss
+    rate.
     """
     if not isinstance(cfg, ACROConfig):
         raise InvalidConfig("adaptive runs take an ACROConfig")
-    validate_config(cfg)
-    state = ReactorState(
-        population=[],
-        buffer=0.0,
-        fe_count=0,
-        best_pe=float("inf"),
-        best_solution=None,
+    state, structures, pes = _init_reactor(
+        spec, cfg, rng,
         step_size=(np.asarray(spec.upper, float) - np.asarray(spec.lower, float)) / 2.0,
-        update_window=SuccessWindow(_window_n(cfg.max_fes)),
-        boundary_rule=cfg.variant.boundary_rule,
-        synthesis_rule=cfg.variant.synthesis_rule,
-        max_fes=cfg.max_fes,
         child_loss_rate=draw_loss_rate,
     )
-    structures, pes = _init_population(state, spec, cfg, rng)
-    state.ini_ke = (max(pes) - min(pes)) * cfg.ini_pop_size
+    ke = (max(pes) - min(pes)) * cfg.ini_pop_size
     state.population = [
-        Molecule.fresh(s, pe, state.ini_ke, draw_loss_rate(rng))
-        for s, pe in zip(structures, pes)
+        Molecule.fresh(s, pe, ke, draw_loss_rate(rng)) for s, pe in zip(structures, pes)
     ]
     return state
 
@@ -310,25 +292,13 @@ def cro_init(spec, cfg, rng):
     """Build the initial reactor for a canonical run (fixed global knobs)."""
     if not isinstance(cfg, CROConfig):
         raise InvalidConfig("canonical runs take a CROConfig")
-    validate_config(cfg)
-    state = ReactorState(
-        population=[],
-        buffer=float(cfg.ini_buffer),
-        fe_count=0,
-        best_pe=float("inf"),
-        best_solution=None,
+    state, structures, pes = _init_reactor(
+        spec, cfg, rng,
         step_size=np.full(spec.dimension, float(cfg.step_size)),
-        update_window=None,
-        boundary_rule=cfg.variant.boundary_rule,
-        synthesis_rule=cfg.variant.synthesis_rule,
-        max_fes=cfg.max_fes,
-        child_loss_rate=None,
+        buffer=float(cfg.ini_buffer),
     )
-    structures, pes = _init_population(state, spec, cfg, rng)
-    state.ini_ke = float(cfg.ini_ke)
     state.population = [
-        Molecule.fresh(s, pe, cfg.ini_ke, cfg.loss_rate)
-        for s, pe in zip(structures, pes)
+        Molecule.fresh(s, pe, cfg.ini_ke, cfg.loss_rate) for s, pe in zip(structures, pes)
     ]
     return state
 
@@ -414,20 +384,19 @@ def _extend_trace(trace, state):
 def _drive(state, spec, cfg, rng, observer):
     """The reaction loop of every variant; ends with the budget spent exactly.
 
-    The config type picks the two things ACRO changes: how the next reaction
-    is chosen, and how the step size adapts. ACRO runs keep a success window
-    and apply the success rule after every best-update; CRO/D decays its
-    step by the evaluation count after every reaction; the other canonical
-    variants keep a fixed step. Each step rule also runs once after
-    initialization. When a single evaluation remains, an on-wall collision
-    is forced so two-evaluation reactions never strand budget.
+    The config type picks the two things ACRO changes after initialization:
+    how the next reaction is chosen, and how the step size adapts. ACRO
+    feeds every best-update outcome to a SuccessRule; CRO/D decays its step
+    by the evaluation count after initialization and after every reaction;
+    the other canonical variants keep a fixed step. When a single evaluation
+    remains, an on-wall collision is forced so two-evaluation reactions
+    never strand budget.
     """
     started = time.perf_counter()
-    react = _react_acro if isinstance(cfg, ACROConfig) else _react_cro
-    success_rule = state.update_window is not None
+    adaptive = isinstance(cfg, ACROConfig)
+    react = _react_acro if adaptive else _react_cro
+    rule = SuccessRule(max(1, cfg.max_fes // 100)) if adaptive else None
     decay = cfg.variant is Variant.CRO_D
-    if success_rule:
-        step_size_rule(state)
     if decay:
         _evaluation_decay(state, cfg)
     max_fes = cfg.max_fes
@@ -441,9 +410,9 @@ def _drive(state, spec, cfg, rng, observer):
         else:
             outcome = react(state, spec, cfg, rng)
         for structure, pe in outcome.new_structures:
-            update_best(state, structure, pe)
-            if success_rule:
-                step_size_rule(state)
+            improved = update_best(state, structure, pe)
+            if rule is not None:
+                rule.record(state, improved)
         if decay:
             _evaluation_decay(state, cfg)
         if state.fe_count >= next_checkpoint:

@@ -260,11 +260,6 @@ def make_instance(func_id, dim, transform_seed=DEFAULT_TRANSFORM_SEED,
     )
 
 
-def make_suite(dim, transform_seed=DEFAULT_TRANSFORM_SEED, ids=None):
-    ids = range(1, 25) if ids is None else ids
-    return [make_instance(i, dim, transform_seed) for i in ids]
-
-
 def evaluate_benchmark(inst, x):
     """Apply the instance's transform and base formula at ``x`` (pure)."""
     x = np.asarray(x, dtype=float)

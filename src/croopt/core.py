@@ -4,24 +4,21 @@ A candidate solution is a plain float vector. Each molecule carries one
 solution plus its potential energy (the objective value, minimized), its
 kinetic energy (tolerance for accepting worse solutions), collision counters,
 and a per-molecule energy loss rate. The reactor owns the population, the
-central energy buffer, the evaluation counter, the best-ever record, the
-per-element step sizes, and (in adaptive runs) the success window feeding
-step adaptation.
+central energy buffer, the evaluation counter, the best-ever record and the
+per-element step sizes. How the step sizes evolve is up to the run loop in
+``algorithms``; nothing here differs between CRO and ACRO.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NonFiniteObjective
 from .operators import BoundaryRule, SynthesisRule
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .algorithms import SuccessWindow
 
 
 @dataclass(eq=False)
@@ -81,20 +78,15 @@ class Molecule:
 class ReactorState:
     """Mutable state of one optimization run, confined to a single thread."""
 
-    population: list[Molecule]
-    buffer: float
-    fe_count: int
-    best_pe: float
-    best_solution: Optional[np.ndarray]
     step_size: np.ndarray
-    # Best-update outcomes for ACRO's success rule; None in canonical runs,
-    # which never read it.
-    update_window: Optional["SuccessWindow"]
     boundary_rule: BoundaryRule
     synthesis_rule: SynthesisRule
-    max_fes: Optional[int] = None
-    # Frozen initial-KE constant of adaptive runs, kept for introspection.
-    ini_ke: float = 0.0
+    max_fes: int
+    buffer: float = 0.0
+    population: list[Molecule] = field(default_factory=list)
+    fe_count: int = 0
+    best_pe: float = math.inf
+    best_solution: Optional[np.ndarray] = None
     # Drawn for every molecule created mid-run; None means children inherit
     # the parent's loss rate (the canonical global-constant behaviour).
     child_loss_rate: Optional[Callable[[np.random.Generator], float]] = None
@@ -124,13 +116,10 @@ def update_best(state, candidate, pe):
     """Compare a newly generated solution against the best-ever record.
 
     Only a strict improvement counts as a successful update (ties would let
-    plateau noise inflate the success-rule count). Every call, successful or
-    not, is recorded in the success window when the run keeps one.
+    plateau noise inflate ACRO's success-rule count).
     """
     improved = pe < state.best_pe
     if improved:
         state.best_pe = pe
         state.best_solution = np.array(candidate, dtype=float)
-    if state.update_window is not None:
-        state.update_window.record(improved)
     return improved

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .algorithms import Variant, default_config, parse_variant, run_acro, run_cro
 from .benchmarks import as_objective
-from .errors import EmptyCell, ExperimentError
+from .errors import EmptyCell, ExperimentError, InvalidConfig
 
 ZERO_THRESHOLD = 1e-8
 
@@ -103,11 +104,12 @@ def run_experiment(algorithms, benchmarks, runs, max_fes, base_seed,
     """Execute runs x |algorithms| x |benchmarks| independent runs.
 
     ``algorithms`` may hold Variant members, name strings, or ready-made
-    configs; ``benchmarks`` holds BenchmarkInstance objects. Each cell uses
-    seeds base_seed .. base_seed + runs - 1. ``record_sink`` receives each
-    record as it completes (unordered under parallelism), which lets callers
-    persist partial results; the returned record list is always in canonical
-    (algorithm, benchmark, seed) order.
+    configs; ``benchmarks`` holds BenchmarkInstance objects. A variant or a
+    benchmark label listed twice raises InvalidConfig. Each cell uses seeds
+    base_seed .. base_seed + runs - 1. Records reach ``record_sink`` one at a
+    time, which lets callers persist partial results; both the sink and the
+    returned list see them in canonical (algorithm, benchmark, seed) order.
+    The first failing run raises, and the runs not yet started are cancelled.
     """
     configs = []
     for algo in algorithms:
@@ -116,6 +118,11 @@ def run_experiment(algorithms, benchmarks, runs, max_fes, base_seed,
             configs.append((variant, default_config(variant, max_fes=max_fes)))
         else:
             configs.append((algo.variant, algo))
+    for kind, labels in (("algorithm", [variant.value for variant, _ in configs]),
+                         ("benchmark", [inst.label for inst in benchmarks])):
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise InvalidConfig(f"{kind} listed more than once: {', '.join(repeated)}")
     tasks = [
         (variant, config, instance, base_seed + run)
         for variant, config in configs
@@ -123,25 +130,14 @@ def run_experiment(algorithms, benchmarks, runs, max_fes, base_seed,
         for run in range(runs)
     ]
     records = []
-    if parallelism <= 1:
-        for task in tasks:
-            record = _run_task(task)
+    pool = ProcessPoolExecutor(max_workers=parallelism) if parallelism > 1 else None
+    with pool or nullcontext():
+        # Executor.map cancels the pending runs when its iterator raises.
+        results = map(_run_task, tasks) if pool is None else pool.map(_run_task, tasks)
+        for record in results:
             records.append(record)
             if record_sink is not None:
                 record_sink(record)
-    else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            futures = [pool.submit(_run_task, task) for task in tasks]
-            for future in futures:
-                record = future.result()
-                records.append(record)
-                if record_sink is not None:
-                    record_sink(record)
-    algo_order = {variant.value: k for k, (variant, _) in enumerate(configs)}
-    bench_order = {inst.label: k for k, inst in enumerate(benchmarks)}
-    records.sort(
-        key=lambda r: (algo_order[r.algorithm], bench_order[r.benchmark], r.seed)
-    )
     return summarize(records), records
 
 

@@ -36,7 +36,7 @@ class ReactionOutcome:
 
 
 def _require_budget(state, cost):
-    if state.max_fes is not None and state.fe_count + cost > state.max_fes:
+    if state.fe_count + cost > state.max_fes:
         raise BudgetExhausted(
             f"need {cost} evaluations, {state.max_fes - state.fe_count} remain"
         )

@@ -1,9 +1,11 @@
 """Shared fixtures and stubs for the test suite."""
 
+from collections import deque
+
 import numpy as np
 
-from croopt.algorithms import SuccessWindow, draw_loss_rate
-from croopt.core import Molecule, ObjectiveSpec, ReactorState, total_energy
+from croopt.algorithms import SuccessRule, draw_loss_rate
+from croopt.core import Molecule, ObjectiveSpec, ReactorState, total_energy, update_best
 from croopt.operators import BoundaryRule, SynthesisRule
 from croopt.reactions import (
     ReactionKind,
@@ -56,19 +58,16 @@ def sphere_objective(dim, bound=100.0):
     return ObjectiveSpec(dim, lower, upper, lambda x: float(x @ x))
 
 
-def make_state(molecules, *, buffer=0.0, dim=None, step=1.0, n=10,
-               max_fes=None, boundary=BoundaryRule.BP,
+def make_state(molecules, *, buffer=0.0, dim=None, step=1.0, max_fes=10**9,
+               boundary=BoundaryRule.BP,
                synthesis_rule=SynthesisRule.PROBABILISTIC_SELECT,
                child_loss_rate=None):
+    """A reactor holding ``molecules``; the default budget never runs out."""
     dim = dim if dim is not None else molecules[0].structure.shape[0]
     return ReactorState(
         population=list(molecules),
         buffer=float(buffer),
-        fe_count=0,
-        best_pe=float("inf"),
-        best_solution=None,
         step_size=np.full(dim, float(step)),
-        update_window=SuccessWindow(n),
         boundary_rule=boundary,
         synthesis_rule=synthesis_rule,
         max_fes=max_fes,
@@ -156,28 +155,50 @@ def collect_conserved(kind, required, seed):
 
 
 def drive_scripted_window(n, successes_per_period, periods=3):
-    """Feed update_best a stream with a fixed success count per 10n block.
+    """Feed update_best and a SuccessRule a fixed success count per 10n block.
 
     Successes occupy the first ``successes_per_period`` slots of every block,
     so every trailing 10n window at an n-checkpoint holds exactly that many.
     Returns the step factor observed at each full-window n-checkpoint.
     """
-    from croopt.algorithms import step_size_rule
-    from croopt.core import update_best
-
-    state = make_state([molecule(np.zeros(3), 1.0, 0.0)], n=n)
+    state = make_state([molecule(np.zeros(3), 1.0, 0.0)])
     state.best_pe = 1e12
+    rule = SuccessRule(n)
     factors = []
-    previous = state.step_size[0]
     for k in range(periods * 10 * n):
-        position = k % (10 * n)
-        if position < successes_per_period:
+        if k % (10 * n) < successes_per_period:
             pe = state.best_pe - 1.0
         else:
             pe = state.best_pe + 1.0
-        update_best(state, np.zeros(3), pe)
-        step_size_rule(state)
-        if state.update_window.full and state.update_window.updates_seen % n == 0:
-            factors.append(state.step_size[0] / previous)
         previous = state.step_size[0]
+        rule.record(state, update_best(state, np.zeros(3), pe))
+        if k + 1 >= 10 * n and (k + 1) % n == 0:
+            factors.append(state.step_size[0] / previous)
     return factors
+
+
+class ReferenceWindow:
+    """Oracle for SuccessRule: a literal sliding window of update outcomes.
+
+    It keeps the last 10n outcomes one by one. ``record`` returns the step
+    decision due after that update: None between n-checkpoints, else
+    "grow" when more than 2n of the windowed outcomes are successes and
+    "shrink" otherwise.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.capacity = 10 * n
+        self.outcomes = deque()
+        self.successes = 0
+        self.updates_seen = 0
+
+    def record(self, success):
+        self.updates_seen += 1
+        if len(self.outcomes) == self.capacity:
+            self.successes -= self.outcomes.popleft()
+        self.outcomes.append(bool(success))
+        self.successes += success
+        if self.updates_seen % self.n:
+            return None
+        return "grow" if self.successes > 2 * self.n else "shrink"

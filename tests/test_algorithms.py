@@ -6,7 +6,7 @@ import pytest
 from croopt.algorithms import (
     ACROConfig,
     CROConfig,
-    SuccessWindow,
+    SuccessRule,
     Variant,
     acro_init,
     cro_init,
@@ -17,10 +17,9 @@ from croopt.algorithms import (
     run_acro,
     run_cro,
     select_reaction_acro,
-    step_size_rule,
 )
 from croopt.benchmarks import as_objective, make_instance
-from croopt.core import ObjectiveSpec, update_best
+from croopt.core import ObjectiveSpec
 from croopt.errors import DimensionMismatch, InvalidConfig
 from croopt.operators import BoundaryRule, SynthesisRule
 from croopt.reactions import ReactionKind
@@ -59,8 +58,7 @@ def test_acro_init_ini_ke_from_pe_spread():
     spec = queue_objective(4, [2.0, 7.0, 10.0])
     cfg = ACROConfig(ini_pop_size=3, max_fes=1000)
     state = acro_init(spec, cfg, np.random.default_rng(0))
-    assert state.ini_ke == (10.0 - 2.0) * 3
-    assert all(m.ke == 24.0 for m in state.population)
+    assert all(m.ke == (10.0 - 2.0) * 3 for m in state.population)
     assert state.fe_count == 3
     assert state.best_pe == 2.0
     assert state.buffer == 0.0
@@ -70,7 +68,6 @@ def test_acro_init_equal_pes_give_zero_ke():
     spec = queue_objective(4, [5.0, 5.0, 5.0])
     cfg = ACROConfig(ini_pop_size=3, max_fes=1000)
     state = acro_init(spec, cfg, np.random.default_rng(1))
-    assert state.ini_ke == 0.0
     assert all(m.ke == 0.0 for m in state.population)
 
 
@@ -79,8 +76,24 @@ def test_acro_init_step_size_is_half_box_width():
     cfg = ACROConfig(max_fes=3000)
     state = acro_init(as_objective(inst), cfg, np.random.default_rng(2))
     assert np.all(state.step_size == 100.0)
-    assert state.update_window.n == 30
-    assert state.update_window.capacity == 300
+
+
+def test_acro_success_rule_checks_every_percent_of_budget(monkeypatch):
+    # The run builds its rule with n = max_fes // 100 (at least 1); canonical
+    # runs build none.
+    built = []
+
+    class RecordingRule(SuccessRule):
+        def __init__(self, n):
+            built.append(n)
+            super().__init__(n)
+
+    monkeypatch.setattr("croopt.algorithms.SuccessRule", RecordingRule)
+    spec = as_objective(make_instance("f1", 10))
+    for max_fes in (3000, 150, 20):
+        run_acro(spec, ACROConfig(max_fes=max_fes), np.random.default_rng(0))
+    run_cro(spec, CROConfig(max_fes=3000), np.random.default_rng(0))
+    assert built == [30, 1, 1]
 
 
 def test_acro_init_draws_per_molecule_loss_rates():
@@ -169,12 +182,16 @@ def test_step_rule_shrinks_at_threshold():
     assert all(f == pytest.approx(0.85, rel=1e-12) for f in factors)
 
 
+def _feed(rule, outcomes):
+    """Record ``outcomes`` into ``rule``; returns the reactor it adapted."""
+    state = make_state([molecule(np.zeros(3), 1.0, 0.0)])
+    for improved in outcomes:
+        rule.record(state, improved)
+    return state
+
+
 def test_step_rule_quiet_between_checkpoints():
-    state = make_state([molecule(np.zeros(3), 1.0, 0.0)], n=10)
-    state.best_pe = 10.0
-    for pe in (9.0, 8.0, 7.0, 6.0, 5.0):  # update_count reaches 5
-        update_best(state, np.zeros(3), pe)
-        step_size_rule(state)
+    state = _feed(SuccessRule(10), [True] * 9)
     assert np.all(state.step_size == 1.0)
 
 
@@ -182,25 +199,24 @@ def test_step_rule_shrinks_during_warm_up():
     # Before a full window exists the rule still fires every n updates,
     # comparing the outcomes recorded so far against the fixed 2n threshold;
     # with no successes that means one shrink per checkpoint from the start.
-    state = make_state([molecule(np.zeros(3), 1.0, 0.0)], n=10)
-    state.best_pe = 1e12
-    for k in range(90):
-        update_best(state, np.zeros(3), state.best_pe + 1.0)
-        step_size_rule(state)
-    assert not state.update_window.full
+    state = _feed(SuccessRule(10), [False] * 90)
     assert state.step_size[0] == pytest.approx(0.85**9, rel=1e-12)
 
 
 def test_success_window_slides():
-    window = SuccessWindow(2)
-    for flag in [True] * 20:
-        window.record(flag)
-    assert window.successes == 20
-    for _ in range(20):
-        window.record(False)
-    assert window.successes == 0
-    assert window.updates_seen == 40
-    assert window.full
+    # n = 2, so the window spans 20 updates and the threshold is 4 successes.
+    # 20 successes, then 20 failures: the count at the checkpoints climbs
+    # 2, 4, 6, ..., 20 and then falls 18, 16, ..., 0.
+    rule = SuccessRule(2)
+    state = make_state([molecule(np.zeros(3), 1.0, 0.0)])
+    factors = []
+    for improved in [True] * 20 + [False] * 20:
+        previous = state.step_size[0]
+        rule.record(state, improved)
+        if state.step_size[0] != previous:
+            factors.append(round(state.step_size[0] / previous, 12))
+    grow, shrink = round(1 / 0.85, 12), 0.85
+    assert factors == [shrink] * 2 + [grow] * 8 + [grow] * 7 + [shrink] * 3
 
 
 def test_cro_d_step_decay_after_exact_budget():
@@ -352,4 +368,3 @@ def test_cro_init_uses_global_knobs():
     assert all(m.loss_rate == 0.1 for m in state.population)
     assert np.all(state.step_size == 1.0)
     assert state.child_loss_rate is None
-    assert state.update_window is None  # only the ACRO success rule reads it

@@ -68,7 +68,7 @@ def test_update_best_strict_improvement():
     state.best_pe = 5.0
     assert update_best(state, np.array([1.0]), 3.0) is True
     assert state.best_pe == 3.0
-    assert state.update_window.updates_seen == 1
+    assert np.array_equal(state.best_solution, [1.0])
 
 
 def test_update_best_tie_is_not_success():
@@ -83,8 +83,7 @@ def test_update_best_sequence():
     state.best_pe = 10.0
     outcomes = [update_best(state, np.array([1.0]), pe) for pe in (9.0, 7.0, 8.0, 3.0)]
     assert outcomes == [True, True, False, True]
-    assert state.update_window.updates_seen == 4
-    assert state.update_window.successes == 3
+    assert state.best_pe == 3.0
 
 
 def test_update_best_copies_candidate():

@@ -1,14 +1,17 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
+from croopt.algorithms import ACROConfig, Variant
 from croopt.benchmarks import make_instance
 from croopt.cli import main
 from croopt.errors import EmptyCell, ExperimentError, InvalidConfig
 from croopt.harness import (
     RunRecord,
     emit_results,
+    execute_run,
     render_summary_csv,
     run_experiment,
     summarize,
@@ -166,13 +169,41 @@ def test_run_experiment_wraps_failures_with_context():
 
 
 def test_run_experiment_streams_records_to_sink():
+    # The sink sees every record once, in the canonical order, at any
+    # parallelism.
     inst = make_instance("f1", 10, SEED)
-    seen = []
-    run_experiment(
-        ["ACRO/BP"], [inst], runs=3, max_fes=300, base_seed=0,
-        record_sink=seen.append,
-    )
-    assert len(seen) == 3
+    for parallelism in (1, 2):
+        seen = []
+        _, records = run_experiment(
+            ["ACRO/BP", "CRO/BP"], [inst], runs=3, max_fes=300, base_seed=0,
+            parallelism=parallelism, record_sink=seen.append,
+        )
+        assert seen == records
+        assert [(r.algorithm, r.seed) for r in seen] == [
+            ("ACRO/BP", 0), ("ACRO/BP", 1), ("ACRO/BP", 2),
+            ("CRO/BP", 0), ("CRO/BP", 1), ("CRO/BP", 2),
+        ]
+
+
+def test_run_experiment_cancels_queued_runs_after_a_failure():
+    # 30 failing runs sit ahead of 30 good ones. Reporting the first failure
+    # must not wait for the queue: only the few good runs already handed to
+    # a worker may still finish, against the 15 run-times the queue takes
+    # on two workers.
+    inst = make_instance("f1", 10, SEED)
+    good = ACROConfig(variant=Variant.ACRO_HP, max_fes=20_000)
+    started = time.perf_counter()
+    execute_run(good.variant, good, inst, 0)
+    one_run = time.perf_counter() - started
+    started = time.perf_counter()
+    with pytest.raises(ExperimentError) as err:
+        run_experiment(
+            [ACROConfig(max_fes=5), good], [inst], runs=30, max_fes=0, base_seed=0,
+            parallelism=2,
+        )
+    elapsed = time.perf_counter() - started
+    assert err.value.algorithm == "ACRO/BP"
+    assert elapsed < 6 * one_run + 1.0, f"{elapsed:.2f} s; one run takes {one_run:.2f} s"
 
 
 def test_traces_are_nonincreasing():
@@ -229,6 +260,21 @@ def test_cli_reports_worker_failures_as_one_json_line(tmp_path, capfd):
     parsed = json.loads(err_lines[0])
     assert parsed["error"] == "ExperimentError"
     assert "ACRO/BP on f1 (seed 0)" in parsed["message"]
+
+
+def test_cli_rejects_repeated_algorithms_and_functions(tmp_path, capsys):
+    for algo, func in (("ACRO/BP,acro_bp", "f1"), ("ACRO/BP", "f1,f1")):
+        code = main([
+            "run", "--algo", algo, "--func", func, "--dim", "10",
+            "--runs", "2", "--max-fes", "100", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        parsed = json.loads(err_lines[0])
+        assert parsed["error"] == "InvalidConfig"
+        assert "listed more than once" in parsed["message"]
+    assert not (tmp_path / "records.jsonl").exists()
 
 
 def test_cli_reports_unexpected_errors_as_one_json_line(tmp_path, capsys, monkeypatch):

@@ -3,9 +3,10 @@
 The library draws every scalar uniform as ``lo + (hi - lo) * rng.random()``
 rather than ``rng.uniform(lo, hi)``: the same formula numpy evaluates, so the
 same bits from the same stream. These tests pin that claim, keep repaired
-points inside the box under both boundary rules, and check that random
+points inside the box under both boundary rules, check that random
 reaction sequences conserve buffer + sum(PE + KE) and never overspend the
-evaluation budget.
+evaluation budget, and check ACRO's block-count success rule against a
+literal sliding window of outcomes.
 """
 
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from croopt.algorithms import draw_loss_rate
+from croopt.algorithms import SuccessRule, draw_loss_rate
 from croopt.core import Molecule, total_energy
 from croopt.errors import BudgetExhausted
 from croopt.operators import BoundaryRule, apply_boundary, neighborhood_search
@@ -27,7 +28,7 @@ from croopt.reactions import (
     synthesis,
 )
 
-from helpers import make_state, sphere_objective
+from helpers import ReferenceWindow, make_state, molecule, sphere_objective
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -177,3 +178,25 @@ def test_reaction_sequences_conserve_energy_within_budget(seed, budget, rule, se
         after = total_energy(state)
         assert math.isclose(after, before, rel_tol=1e-9, abs_tol=1e-9)
         before = after
+
+
+@SETTINGS
+@given(
+    n=st.integers(min_value=1, max_value=7),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    length=st.integers(min_value=0, max_value=300),
+    seed=seeds,
+)
+def test_success_rule_matches_a_sliding_window(n, p, length, seed):
+    # Success probabilities on both sides of the 2n-in-10n threshold, and
+    # streams long enough to fill the window and slide it at every n <= 7.
+    outcomes = (np.random.default_rng(seed).random(length) < p).tolist()
+    rule = SuccessRule(n)
+    reference = ReferenceWindow(n)
+    state = make_state([molecule(np.zeros(2), 1.0, 0.0)])
+    for improved in outcomes:
+        before = state.step_size[0]
+        rule.record(state, improved)
+        after = state.step_size[0]
+        decision = None if after == before else "grow" if after > before else "shrink"
+        assert decision == reference.record(improved)
