@@ -27,7 +27,13 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Molecule, ReactorState, evaluate_and_count, update_best
+from .core import (
+    Molecule,
+    ReactorState,
+    _check_dimension,
+    evaluate_and_count,
+    update_best,
+)
 from .errors import DimensionMismatch, InvalidConfig
 from .operators import BoundaryRule, SynthesisRule
 from .reactions import (
@@ -42,15 +48,15 @@ STEP_ADAPT_FACTOR = 0.85
 
 
 class Variant(Enum):
-    """Algorithm variants, keyed by boundary handling and synthesis operator."""
+    """Algorithm variants, declared in report order: adaptive variants first."""
 
+    ACRO_BP = "ACRO/BP"
+    ACRO_HP = "ACRO/HP"
+    ACRO_BB = "ACRO/BB"
     CRO_BP = "CRO/BP"
     CRO_HP = "CRO/HP"
     CRO_BB = "CRO/BB"
     CRO_D = "CRO/D"
-    ACRO_BP = "ACRO/BP"
-    ACRO_HP = "ACRO/HP"
-    ACRO_BB = "ACRO/BB"
 
     @property
     def adaptive(self):
@@ -65,18 +71,6 @@ class Variant(Enum):
         if self.value.endswith("BB"):
             return SynthesisRule.BLX05
         return SynthesisRule.PROBABILISTIC_SELECT
-
-
-#: Canonical ordering for reports and the CLI: adaptive variants first.
-VARIANT_ORDER = (
-    Variant.ACRO_BP,
-    Variant.ACRO_HP,
-    Variant.ACRO_BB,
-    Variant.CRO_BP,
-    Variant.CRO_HP,
-    Variant.CRO_BB,
-    Variant.CRO_D,
-)
 
 
 def parse_variant(name):
@@ -161,9 +155,7 @@ def _validate_objective(spec):
     The finite width matters too: boundary repair scales a unit draw by
     ``upper - lower``.
     """
-    dim = spec.dimension
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise DimensionMismatch(f"dimension must be a positive integer, got {dim!r}")
+    dim = _check_dimension(spec.dimension)
     for name in ("lower", "upper"):
         shape = np.shape(getattr(spec, name))
         if shape != (dim,):
@@ -211,18 +203,6 @@ def draw_loss_rate(rng):
     return min(abs(rng.normal(0.0, 0.3)), 1.0)
 
 
-def population_feedback(cur_pop_size, ini_pop_size):
-    """Feedback terms steering decomposition vs synthesis.
-
-    Returns (f_pop, f_dec, f_syn): the relative population excess, the
-    decomposition probability, and its complement. f_dec + f_syn == 1
-    exactly for every population size.
-    """
-    f_pop = (cur_pop_size - ini_pop_size) / ini_pop_size
-    f_dec = 0.5 * (1.0 - f_pop)
-    return f_pop, f_dec, 1.0 - f_dec
-
-
 def select_reaction_acro(state, cfg, rng):
     """Pick the next elementary reaction for an adaptive run.
 
@@ -235,8 +215,8 @@ def select_reaction_acro(state, cfg, rng):
     if rng.random() < cfg.change_rate:
         if len(state.population) < 2:
             return ReactionKind.DECOMPOSITION
-        _, f_dec, _ = population_feedback(len(state.population), cfg.ini_pop_size)
-        if rng.random() < f_dec:
+        f_pop = (len(state.population) - cfg.ini_pop_size) / cfg.ini_pop_size
+        if rng.random() < 0.5 * (1.0 - f_pop):
             return ReactionKind.DECOMPOSITION
         return ReactionKind.SYNTHESIS
     if rng.random() < cfg.coll_rate and len(state.population) >= 2:
@@ -312,7 +292,7 @@ class RunResult:
     trace: list[tuple[int, float]]
     fe_count: int
     wall_time: float
-    state: ReactorState = field(repr=False, default=None)
+    state: ReactorState = field(repr=False)
 
 
 def _pick_one(state, rng):

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ObjectiveSpec
+from .core import ObjectiveSpec, _check_dimension
 from .errors import DimensionMismatch, FormatError
 
 DEFAULT_BOUND = 100.0
@@ -91,12 +91,12 @@ def levy(z):
     return float(head + body + tail)
 
 
-def u_penalty(z, a, k=100.0, m=4.0):
-    """Boundary penalty: k(|z|-a)^m outside [-a, a], zero inside."""
+def u_penalty(z, a):
+    """Boundary penalty: 100(|z|-a)^4 outside [-a, a], zero inside."""
     z = np.asarray(z, dtype=float)
     over = np.maximum(z - a, 0.0)
     under = np.maximum(-z - a, 0.0)
-    return float((k * (over**m + under**m)).sum())
+    return float((100.0 * (over**4.0 + under**4.0)).sum())
 
 
 def penalized_1(z):
@@ -197,10 +197,6 @@ class BenchmarkInstance:
     def label(self):
         return f"f{self.func_id}"
 
-    @property
-    def name(self):
-        return _DEFS_BY_ID[self.func_id].name
-
 
 def _random_orthogonal(dim, rng):
     # QR of a Gaussian matrix with the sign fix that makes Q Haar-distributed
@@ -230,6 +226,7 @@ def make_instance(func_id, dim, transform_seed=DEFAULT_TRANSFORM_SEED,
                   transform=None):
     """Build one benchmark instance; transform data is generated unless given."""
     func_id = parse_func_id(func_id)
+    _check_dimension(dim)
     fdef = _DEFS_BY_ID[func_id]
     if transform is None:
         transform = generate_transform(transform_seed, func_id, dim)
@@ -310,39 +307,29 @@ def as_objective(inst):
 # ---------------------------------------------------------------------------
 # raw transform files
 
-def load_cec_shift(path, dim):
-    """First ``dim`` numbers of a raw whitespace-separated shift file."""
+def _read_numbers(path, count):
+    """The first ``count`` numbers of a raw whitespace-separated file."""
     tokens = Path(path).read_text().split()
-    if len(tokens) < dim:
-        raise FormatError(f"{path}: found {len(tokens)} values, need {dim}")
+    if len(tokens) < count:
+        raise FormatError(f"{path}: found {len(tokens)} values, need {count}")
     try:
-        return np.array([float(t) for t in tokens[:dim]])
+        return np.array([float(t) for t in tokens[:count]])
     except ValueError as exc:
         raise FormatError(f"{path}: bad number: {exc}") from None
-
-
-def load_cec_rotation(path, dim):
-    """First ``dim`` x ``dim`` numbers of a raw rotation file, row-major."""
-    tokens = Path(path).read_text().split()
-    if len(tokens) < dim * dim:
-        raise FormatError(f"{path}: found {len(tokens)} values, need {dim * dim}")
-    try:
-        values = np.array([float(t) for t in tokens[: dim * dim]])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad number: {exc}") from None
-    return values.reshape(dim, dim)
 
 
 def instance_from_cec_dir(func_id, dim, data_dir):
-    """Build an instance from raw files f{k}_shift.txt / f{k}_M.txt."""
+    """Build an instance from raw files f{k}_shift.txt / f{k}_M.txt (row-major)."""
     func_id = parse_func_id(func_id)
+    _check_dimension(dim)
     fdef = _DEFS_BY_ID[func_id]
     data_dir = Path(data_dir)
     shift = np.zeros(dim)
     if fdef.shifted:
-        shift = load_cec_shift(data_dir / f"f{func_id}_shift.txt", dim)
+        shift = _read_numbers(data_dir / f"f{func_id}_shift.txt", dim)
     rotation = np.eye(dim)
     if fdef.rotated:
-        rotation = load_cec_rotation(data_dir / f"f{func_id}_M.txt", dim)
+        values = _read_numbers(data_dir / f"f{func_id}_M.txt", dim * dim)
+        rotation = values.reshape(dim, dim)
     transform = TransformData(shift=shift, rotation=rotation, scale=fdef.scale)
     return make_instance(func_id, dim, transform=transform)

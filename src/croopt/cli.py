@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import VARIANT_ORDER, parse_variant
+from .algorithms import Variant, parse_variant
 from .benchmarks import (
     DEFAULT_TRANSFORM_SEED,
     FUNCTION_TABLE,
@@ -34,7 +34,7 @@ GOLDEN_TOL_SCHWEFEL226 = 1e-3
 
 def _parse_algorithms(text):
     if text.strip().lower() == "all":
-        return list(VARIANT_ORDER)
+        return list(Variant)
     return [parse_variant(token) for token in text.split(",") if token.strip()]
 
 
@@ -86,18 +86,27 @@ def _cmd_run(args):
             for fid in _parse_functions(args.func)
         ]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     partial_path = out_dir / "records.partial.jsonl"
-    with open(partial_path, "w", encoding="utf-8") as partial:
-        summary, records = run_experiment(
-            algorithms,
-            instances,
-            runs=args.runs,
-            max_fes=args.max_fes,
-            base_seed=args.seed,
-            parallelism=args.parallel,
-            record_sink=lambda record: partial.write(record.to_json() + "\n"),
-        )
+    first = True
+
+    def keep(record):
+        # The first finished run creates --out: run_experiment checks the
+        # whole grid before any run starts, so a rejected grid writes nothing.
+        nonlocal first
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(partial_path, "w" if first else "a", encoding="utf-8") as partial:
+            partial.write(record.to_json() + "\n")
+        first = False
+
+    summary, records = run_experiment(
+        algorithms,
+        instances,
+        runs=args.runs,
+        max_fes=args.max_fes,
+        base_seed=args.seed,
+        parallelism=args.parallel,
+        record_sink=keep,
+    )
     written = emit_results(summary, records, out_dir)
     partial_path.unlink()
     for path in written:
@@ -147,7 +156,7 @@ def _cmd_verify(args):
 
 def _cmd_list(_args):
     print("algorithms:")
-    for variant in VARIANT_ORDER:
+    for variant in Variant:
         print(f"  {variant.value}")
     print("functions:")
     for fdef in FUNCTION_TABLE:

@@ -6,7 +6,8 @@ kinetic energy (tolerance for accepting worse solutions), collision counters,
 and a per-molecule energy loss rate. The reactor owns the population, the
 central energy buffer, the evaluation counter, the best-ever record and the
 per-element step sizes. How the step sizes evolve is up to the run loop in
-``algorithms``; nothing here differs between CRO and ACRO.
+``algorithms``. Two reactor fields serve one family each: ``child_loss_rate``
+is set by ACRO only, and ``step_decays`` is counted by CRO/D only.
 """
 
 from __future__ import annotations
@@ -17,8 +18,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFiniteObjective
+from .errors import DimensionMismatch, NonFiniteObjective
 from .operators import BoundaryRule, SynthesisRule
+
+
+def _check_dimension(dim):
+    """Return ``dim`` if it is a positive integer, else raise DimensionMismatch."""
+    if not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise DimensionMismatch(f"dimension must be a positive integer, got {dim!r}")
+    return dim
 
 
 @dataclass(eq=False)
@@ -51,8 +59,6 @@ class Molecule:
             pe=float(pe),
             ke=float(ke),
             loss_rate=float(loss_rate),
-            num_hit=0,
-            min_hit=0,
             min_pe=float(pe),
         )
 

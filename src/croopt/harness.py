@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import Variant, default_config, parse_variant, run_acro, run_cro
+from .algorithms import Variant, default_config, run_acro, run_cro, validate_config
 from .benchmarks import as_objective
 from .errors import EmptyCell, ExperimentError, InvalidConfig
 
@@ -104,28 +104,32 @@ def run_experiment(algorithms, benchmarks, runs, max_fes, base_seed,
     """Execute runs x |algorithms| x |benchmarks| independent runs.
 
     ``algorithms`` may hold Variant members, name strings, or ready-made
-    configs; ``benchmarks`` holds BenchmarkInstance objects. A variant or a
-    benchmark label listed twice raises InvalidConfig. Each cell uses seeds
-    base_seed .. base_seed + runs - 1. Records reach ``record_sink`` one at a
-    time, which lets callers persist partial results; both the sink and the
-    returned list see them in canonical (algorithm, benchmark, seed) order.
-    The first failing run raises, and the runs not yet started are cancelled.
+    configs; ``benchmarks`` holds BenchmarkInstance objects. The grid is
+    checked before any run starts: an invalid config, a variant or a
+    benchmark label listed twice, ``runs`` < 1 or ``parallelism`` < 1 raises
+    InvalidConfig. Each cell uses seeds base_seed .. base_seed + runs - 1.
+    Records reach ``record_sink`` one at a time, which lets callers persist
+    partial results; both the sink and the returned list see them in
+    canonical (algorithm, benchmark, seed) order. The first failing run
+    raises, and the runs not yet started are cancelled.
     """
-    configs = []
-    for algo in algorithms:
-        if isinstance(algo, (Variant, str)):
-            variant = algo if isinstance(algo, Variant) else parse_variant(algo)
-            configs.append((variant, default_config(variant, max_fes=max_fes)))
-        else:
-            configs.append((algo.variant, algo))
-    for kind, labels in (("algorithm", [variant.value for variant, _ in configs]),
+    configs = [
+        default_config(algo, max_fes) if isinstance(algo, (Variant, str)) else algo
+        for algo in algorithms
+    ]
+    for config in configs:
+        validate_config(config)
+    for name, value in (("runs", runs), ("parallelism", parallelism)):
+        if value < 1:
+            raise InvalidConfig(f"{name} must be >= 1, got {value}")
+    for kind, labels in (("algorithm", [config.variant.value for config in configs]),
                          ("benchmark", [inst.label for inst in benchmarks])):
         repeated = sorted({label for label in labels if labels.count(label) > 1})
         if repeated:
             raise InvalidConfig(f"{kind} listed more than once: {', '.join(repeated)}")
     tasks = [
-        (variant, config, instance, base_seed + run)
-        for variant, config in configs
+        (config.variant, config, instance, base_seed + run)
+        for config in configs
         for instance in benchmarks
         for run in range(runs)
     ]

@@ -91,7 +91,7 @@ def decompose_structure(s, step_size, lower, upper, rule, rng):
     return children[0], children[1]
 
 
-def synthesize_structure(a, b, rule, lower, upper, rng, boundary_rule=BoundaryRule.BP):
+def synthesize_structure(a, b, rule, lower, upper, rng, boundary_rule):
     """Combine two parent vectors into one child.
 
     PROBABILISTIC_SELECT takes each element from either parent with equal

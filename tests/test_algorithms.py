@@ -13,7 +13,6 @@ from croopt.algorithms import (
     default_config,
     draw_loss_rate,
     parse_variant,
-    population_feedback,
     run_acro,
     run_cro,
     select_reaction_acro,
@@ -113,20 +112,22 @@ def test_draw_loss_rate_folds_and_caps():
     assert all(0.0 <= d <= 1.0 for d in draws)
 
 
-def test_population_feedback_exact_values():
-    assert population_feedback(20, 20) == (0.0, 0.5, 0.5)
-    assert population_feedback(40, 20) == (1.0, 0.0, 1.0)
-    f_pop, f_dec, f_syn = population_feedback(1, 20)
-    assert f_pop == pytest.approx(-0.95)
-    assert f_dec == pytest.approx(0.975)
-    assert f_syn == pytest.approx(0.025)
+@pytest.mark.parametrize("size, threshold", [(2, 0.95), (20, 0.5), (40, 0.0)])
+def test_select_feedback_threshold(size, threshold):
+    # With f_pop = (size - 20) / 20, decomposition needs a second draw below
+    # 0.5 * (1 - f_pop): 0.95, 0.5 and 0 for 2, 20 and 40 molecules.
+    state = make_state([molecule(np.zeros(3), 1.0, 0.0) for _ in range(size)])
+    cfg = ACROConfig(change_rate=1.0)  # even the largest first draw changes size
 
+    def select(draw):
+        rng = ScriptedRNG(random=[np.nextafter(1.0, 0.0), draw])
+        kind = select_reaction_acro(state, cfg, rng)
+        assert rng._random == []
+        return kind
 
-def test_feedback_identity_for_all_sizes():
-    for cur in range(1, 201):
-        _, f_dec, f_syn = population_feedback(cur, 20)
-        assert f_syn == 1.0 - f_dec  # complementary by construction
-        assert f_dec + f_syn == pytest.approx(1.0, abs=1e-15)
+    assert select(threshold) is ReactionKind.SYNTHESIS
+    if threshold > 0.0:
+        assert select(np.nextafter(threshold, 0.0)) is ReactionKind.DECOMPOSITION
 
 
 def test_select_never_synthesizes_a_lone_molecule():

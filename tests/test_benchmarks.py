@@ -8,8 +8,6 @@ from croopt.benchmarks import (
     evaluate_benchmark,
     generate_transform,
     instance_from_cec_dir,
-    load_cec_rotation,
-    load_cec_shift,
     make_instance,
     optimal_point,
     optimum_residual,
@@ -130,11 +128,30 @@ def test_cec_shift_fixture_parses(tmp_path):
     path = tmp_path / "f1_shift.txt"
     path.write_text(" ".join(f"{v:.6f}" for v in values[:15]) + "\n"
                     + " ".join(f"{v:.6f}" for v in values[15:]) + "\n")
-    shift = load_cec_shift(path, 30)
+    shift = instance_from_cec_dir(1, 30, tmp_path).transform.shift
     assert shift.shape == (30,)
     assert shift[0] == pytest.approx(-75.0)
-    with pytest.raises(FormatError):
-        load_cec_shift(path, 31)
+    with pytest.raises(FormatError, match="found 30 values, need 31"):
+        instance_from_cec_dir(1, 31, tmp_path)
+
+
+def test_cec_rejects_truncated_rotation_and_bad_numbers(tmp_path):
+    dim = 4
+    (tmp_path / "f3_shift.txt").write_text(" ".join(["1.5"] * dim))
+    (tmp_path / "f3_M.txt").write_text(" ".join(["0.0"] * (dim * dim - 1)))
+    with pytest.raises(FormatError, match="found 15 values, need 16"):
+        instance_from_cec_dir(3, dim, tmp_path)
+    (tmp_path / "f3_shift.txt").write_text("1.5 2.5 x3 4.5")
+    with pytest.raises(FormatError, match="bad number"):
+        instance_from_cec_dir(3, dim, tmp_path)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_instances_reject_dimensions_below_one(dim, tmp_path):
+    with pytest.raises(DimensionMismatch, match="positive integer"):
+        make_instance("f1", dim)
+    with pytest.raises(DimensionMismatch, match="positive integer"):
+        instance_from_cec_dir(3, dim, tmp_path)
 
 
 def test_cec_instance_import(tmp_path):
@@ -147,8 +164,7 @@ def test_cec_instance_import(tmp_path):
     )
     inst = instance_from_cec_dir(3, dim, tmp_path)
     assert np.allclose(inst.transform.shift, shift)
-    loaded = load_cec_rotation(tmp_path / "f3_M.txt", dim)
-    assert np.array_equal(loaded, rotation)
+    assert np.array_equal(inst.transform.rotation, rotation)
     assert evaluate_benchmark(inst, optimal_point(inst)) < 1e-6
 
 

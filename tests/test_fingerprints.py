@@ -23,7 +23,6 @@ import pytest
 from croopt.algorithms import (
     ACROConfig,
     CROConfig,
-    VARIANT_ORDER,
     Variant,
     default_config,
     run_acro,
@@ -36,7 +35,7 @@ MAX_FES = 3_000
 
 CASES = {
     f"{variant.value}-{func}-s{seed}": (func, seed, default_config(variant, MAX_FES))
-    for variant in VARIANT_ORDER
+    for variant in Variant
     for func in ("f1", "f16")
     for seed in (1, 2)
 }

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from croopt.algorithms import ACROConfig, Variant
-from croopt.benchmarks import make_instance
+from croopt.benchmarks import TransformData, make_instance
 from croopt.cli import main
-from croopt.errors import EmptyCell, ExperimentError, InvalidConfig
+from croopt.errors import EmptyCell, ExperimentError, InvalidConfig, NonFiniteObjective
 from croopt.harness import (
     RunRecord,
     emit_results,
@@ -32,6 +32,13 @@ def record(final_raw, algorithm="ACRO/BP", benchmark="f1", seed=0, trace=()):
         trace=list(trace) or [(100, final_raw)],
         wall_time=0.0,
     )
+
+
+def nan_instance(func_id, dim=10):
+    """A valid instance whose NaN shift makes every run fail at its first
+    evaluation, after the grid has been accepted."""
+    shift = np.full(dim, np.nan)
+    return make_instance(func_id, dim, transform=TransformData(shift, np.eye(dim), 1.0))
 
 
 def test_truncation_rule():
@@ -155,17 +162,31 @@ def test_run_experiment_orders_records_canonically():
 def test_run_experiment_wraps_failures_with_context():
     # Under parallelism the error is pickled back from a worker process and
     # must arrive as the same ExperimentError, not as a broken pool.
-    inst = make_instance("f1", 10, SEED)
+    inst = nan_instance("f1")
     for parallelism in (1, 2):
         with pytest.raises(ExperimentError) as err:
             run_experiment(
-                ["ACRO/BP"], [inst], runs=1, max_fes=5, base_seed=9,
+                ["ACRO/BP"], [inst], runs=1, max_fes=500, base_seed=9,
                 parallelism=parallelism,
             )
         assert err.value.algorithm == "ACRO/BP"
         assert err.value.benchmark == "f1"
         assert err.value.seed == 9
-        assert isinstance(err.value.cause, InvalidConfig)
+        assert isinstance(err.value.cause, NonFiniteObjective)
+
+
+@pytest.mark.parametrize("change", [
+    {"runs": 0}, {"runs": -2}, {"parallelism": 0}, {"max_fes": 5},
+    {"algorithms": [ACROConfig(coll_rate=2.0)]},
+], ids=["runs=0", "runs=-2", "parallelism=0", "max_fes=5", "coll_rate=2"])
+def test_run_experiment_rejects_a_grid_before_any_run(change):
+    sink = []
+    kwargs = dict(algorithms=["ACRO/BP"], benchmarks=[make_instance("f1", 10, SEED)],
+                  runs=2, max_fes=200, base_seed=0, parallelism=1, record_sink=sink.append)
+    kwargs.update(change)
+    with pytest.raises(InvalidConfig):
+        run_experiment(**kwargs)
+    assert sink == []
 
 
 def test_run_experiment_streams_records_to_sink():
@@ -198,11 +219,11 @@ def test_run_experiment_cancels_queued_runs_after_a_failure():
     started = time.perf_counter()
     with pytest.raises(ExperimentError) as err:
         run_experiment(
-            [ACROConfig(max_fes=5), good], [inst], runs=30, max_fes=0, base_seed=0,
+            [good], [nan_instance("f2"), inst], runs=30, max_fes=0, base_seed=0,
             parallelism=2,
         )
     elapsed = time.perf_counter() - started
-    assert err.value.algorithm == "ACRO/BP"
+    assert err.value.benchmark == "f2"
     assert elapsed < 6 * one_run + 1.0, f"{elapsed:.2f} s; one run takes {one_run:.2f} s"
 
 
@@ -216,7 +237,11 @@ def test_traces_are_nonincreasing():
 def test_cli_list_exits_zero(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    assert "ACRO/BP" in out and "f24" in out
+    assert out.splitlines()[:8] == [
+        "algorithms:", "  ACRO/BP", "  ACRO/HP", "  ACRO/BB",
+        "  CRO/BP", "  CRO/HP", "  CRO/BB", "  CRO/D",
+    ]
+    assert "f24" in out
 
 
 def test_cli_verify_benchmarks(capsys):
@@ -249,10 +274,13 @@ def test_cli_reports_machine_readable_errors(tmp_path, capsys):
 
 
 def test_cli_reports_worker_failures_as_one_json_line(tmp_path, capfd):
+    # A NaN shift passes every check made before the grid starts; the run
+    # then fails inside a pool worker at its first evaluation.
+    (tmp_path / "f1_shift.txt").write_text(" ".join(["nan"] * 10))
     code = main([
         "run", "--algo", "ACRO/BP", "--func", "f1", "--dim", "10",
-        "--runs", "1", "--max-fes", "5", "--parallel", "2",
-        "--out", str(tmp_path),
+        "--runs", "1", "--max-fes", "500", "--parallel", "2",
+        "--out", str(tmp_path / "out"), "--cec-data", str(tmp_path),
     ])
     assert code == 1
     err_lines = capfd.readouterr().err.strip().splitlines()
@@ -275,6 +303,25 @@ def test_cli_rejects_repeated_algorithms_and_functions(tmp_path, capsys):
         assert parsed["error"] == "InvalidConfig"
         assert "listed more than once" in parsed["message"]
     assert not (tmp_path / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    ("--runs", "0", "InvalidConfig"),
+    ("--runs", "-2", "InvalidConfig"),
+    ("--parallel", "0", "InvalidConfig"),
+    ("--max-fes", "5", "InvalidConfig"),
+    ("--dim", "0", "DimensionMismatch"),
+    ("--dim", "-1", "DimensionMismatch"),
+])
+def test_cli_rejects_a_bad_grid_before_writing(tmp_path, capsys, flag, value, error):
+    args = {"--algo": "ACRO/BP", "--func": "f1", "--dim": "10", "--max-fes": "200",
+            "--runs": "2", "--out": str(tmp_path / "o"), flag: value}
+    code = main(["run", *(item for pair in args.items() for item in pair)])
+    assert code == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == error
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_reports_unexpected_errors_as_one_json_line(tmp_path, capsys, monkeypatch):

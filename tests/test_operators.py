@@ -147,7 +147,7 @@ def test_decompose_does_not_mutate_input():
 def test_synthesize_identical_parents(rule):
     rng = np.random.default_rng(13)
     a = np.array([3.0, -2.0, 0.5])
-    out = synthesize_structure(a, a.copy(), rule, *box_bounds(3), rng)
+    out = synthesize_structure(a, a.copy(), rule, *box_bounds(3), rng, BP)
     assert np.array_equal(out, a)
 
 
@@ -159,7 +159,7 @@ def test_probabilistic_select_is_fair():
     lower, upper = box_bounds(30)
     picks = np.zeros(30)
     for _ in range(10_000):
-        out = synthesize_structure(a, b, PS, lower, upper, rng)
+        out = synthesize_structure(a, b, PS, lower, upper, rng, BP)
         assert set(np.unique(out)) <= {0.0, 1.0}
         picks += out
     freqs = picks / 10_000
@@ -174,7 +174,7 @@ def test_blx_blends_uniformly_over_widened_interval():
     lower, upper = box_bounds(4, bound=10.0)
     values = []
     for _ in range(10_000):
-        out = synthesize_structure(a, b, BLX, lower, upper, rng)
+        out = synthesize_structure(a, b, BLX, lower, upper, rng, BP)
         assert np.all(out >= -1.0) and np.all(out <= 3.0)
         values.extend(out.tolist())
     assert 0.9 <= np.mean(values) <= 1.1
@@ -185,14 +185,14 @@ def test_blx_repairs_bounds_near_walls():
     lower, upper = box_bounds(3, bound=1.0)
     a, b = np.full(3, -1.0), np.full(3, 1.0)  # blend interval [-2, 2]
     for _ in range(2_000):
-        out = synthesize_structure(a, b, BLX, lower, upper, rng)
+        out = synthesize_structure(a, b, BLX, lower, upper, rng, BP)
         assert np.all(out >= lower) and np.all(out <= upper)
 
 
 def test_synthesize_dimension_mismatch():
     rng = np.random.default_rng(17)
     with pytest.raises(DimensionMismatch):
-        synthesize_structure(np.zeros(3), np.zeros(4), PS, *box_bounds(3), rng)
+        synthesize_structure(np.zeros(3), np.zeros(4), PS, *box_bounds(3), rng, BP)
 
 
 @pytest.mark.parametrize("rule", [PS, BLX])
@@ -200,5 +200,5 @@ def test_synthesize_does_not_mutate_inputs(rule):
     rng = np.random.default_rng(18)
     a, b = np.array([0.1, 0.2]), np.array([0.9, 0.8])
     ca, cb = a.copy(), b.copy()
-    synthesize_structure(a, b, rule, *box_bounds(2), rng)
+    synthesize_structure(a, b, rule, *box_bounds(2), rng, BP)
     assert np.array_equal(a, ca) and np.array_equal(b, cb)
