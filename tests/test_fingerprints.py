@@ -51,6 +51,10 @@ for variant in (Variant.ACRO_BP, Variant.CRO_BP):
             CASES[f"{variant.value}-f{fdef.id}-s1"] = (
                 f"f{fdef.id}", 1, default_config(variant, MAX_FES)
             )
+# D=1: every element and every molecule index comes from a one-value range
+# once the population is down to one molecule (CRO/BP ends with one here).
+for variant in (Variant.ACRO_BP, Variant.CRO_BP):
+    CASES[f"{variant.value}-f1-d1-s1"] = ("f1", 1, default_config(variant, MAX_FES), 1)
 CASES["CRO/BP-dec_thres=50"] = ("f16", 1, CROConfig(dec_thres=50, max_fes=MAX_FES))
 CASES["CRO/D-adapt_interval=10"] = (
     "f16", 1, CROConfig(variant=Variant.CRO_D, adapt_interval=10, max_fes=MAX_FES)
@@ -63,6 +67,7 @@ EXPECTED = {
     "ACRO/BB-f16-s1": "5560c909c60fddb1c4ab49270abba9464fb9164fa8deadcc8333e7a2a7057b0d",
     "ACRO/BB-f16-s2": "5911f9d60ef62696f3a17a0c98b5401842230124d0c6bfdfa3ea41594dab6107",
     "ACRO/BP-change_rate=0.05": "c4151a4e4cd55219dfc5b4300158b9a35747839ef2018863cd43c3aa9fd6ccf4",
+    "ACRO/BP-f1-d1-s1": "cc239c0b2908f4cbe694f913aee595353faa1b5da745da16908d2c969f8a3dc4",
     "ACRO/BP-f1-s1": "844e0157493d5be51b64e0d18ce7cd4111bf73ba4aed7351c9508c791c3952ea",
     "ACRO/BP-f1-s2": "95ead83d59d35e37ecb04110fa184346d17e0edd069df30ac6f56f19b8ac38fe",
     "ACRO/BP-f10-s1": "ffb354006f6ff449c238676a8bc986c88f350201ec9f1562c7af1d21cfd80de1",
@@ -99,6 +104,7 @@ EXPECTED = {
     "CRO/BB-f16-s1": "9e370365554cc52235364344ca1ac1f398803fe0fca43b86ab68ae6efc1b4f0b",
     "CRO/BB-f16-s2": "d62cc9f5ef7868654690d63390e91d8c5ea8404923daa1161da2d46f8b81bb92",
     "CRO/BP-dec_thres=50": "f2808c22dbede3c60b6f2d9a5b22a1fce44f6dccb8360a4e5f3946a401113b1d",
+    "CRO/BP-f1-d1-s1": "23b38cf15b1e6cde7f4a31d4852dd65f024653cd64f11e016246281b5b07affd",
     "CRO/BP-f1-s1": "e3a8331dabe79cd9c3704b664a9eefe535f1ba8a9c15cb0e53e50eba66459b68",
     "CRO/BP-f1-s2": "9f8aa47aceb36d83a87af2748046d6ba57d04a76ee0f61dfecd13386ed281aab",
     "CRO/BP-f10-s1": "dad3ba5904a7d14f5cb8610bca00be4037e22ee88c8a9c029ddc86950a6fe8c0",
@@ -149,9 +155,9 @@ def fingerprint(result):
     return digest.hexdigest()
 
 
-def run_case(func, seed, cfg):
+def run_case(func, seed, cfg, dim=DIM):
     runner = run_acro if cfg.variant.adaptive else run_cro
-    spec = as_objective(make_instance(func, DIM))
+    spec = as_objective(make_instance(func, dim))
     return runner(spec, cfg, np.random.default_rng(seed))
 
 
