@@ -35,7 +35,7 @@ from .core import (
     update_best,
 )
 from .errors import DimensionMismatch, InvalidConfig
-from .operators import BoundaryRule, SynthesisRule
+from .operators import BoundaryRule, SynthesisRule, _draw_index
 from .reactions import (
     ReactionKind,
     decomposition,
@@ -296,13 +296,13 @@ class RunResult:
 
 
 def _pick_one(state, rng):
-    return int(rng.integers(len(state.population)))
+    return _draw_index(len(state.population), rng)
 
 
 def _pick_pair(state, rng):
     n = len(state.population)
-    i = int(rng.integers(n))
-    j = int(rng.integers(n - 1))
+    i = _draw_index(n, rng)
+    j = _draw_index(n - 1, rng)
     if j >= i:
         j += 1
     return i, j

@@ -11,6 +11,7 @@ the truncated Schwefel 2.26 constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Callable
 
@@ -31,15 +32,23 @@ _TWO_PI = 2.0 * np.pi
 # ---------------------------------------------------------------------------
 # base functions (operate on the transformed vector z)
 
+@cache
+def _one_based(n):
+    """The read-only vector 1.0, 2.0, ..., n, built once per length."""
+    index = np.arange(1, n + 1, dtype=float)
+    index.flags.writeable = False
+    return index
+
+
 def sphere(z):
-    return float(z @ z)
+    # ndarray.dot makes the BLAS call `@` makes, with the same bits.
+    return float(z.dot(z))
 
 
 def schwefel_1_2(z):
     # Diagonally weighted sphere: sum_i i * z_i^2. The double sum's inner
     # index runs over the outer variable, which is what collapses it.
-    weights = np.arange(1, z.shape[0] + 1, dtype=float)
-    return float((weights * z * z).sum())
+    return float((_one_based(z.shape[0]) * z * z).sum())
 
 
 def schwefel_2_21(z):
@@ -79,7 +88,7 @@ def rastrigin(z):
 
 def griewank(z):
     # Product divisor is the 1-based index itself, not its square root.
-    i = np.arange(1, z.shape[0] + 1, dtype=float)
+    i = _one_based(z.shape[0])
     return float((z * z).sum() / 4000.0 - np.cos(z / i).prod() + 1.0)
 
 
@@ -238,6 +247,8 @@ def make_instance(func_id, dim, transform_seed=DEFAULT_TRANSFORM_SEED,
         raise DimensionMismatch(
             f"rotation is {transform.rotation.shape}, expected ({dim}, {dim})"
         )
+    if not (np.isfinite(transform.shift).all() and np.isfinite(transform.rotation).all()):
+        raise FormatError(f"transform data for f{func_id} is not finite")
     residual = np.max(np.abs(transform.rotation.T @ transform.rotation - np.eye(dim)))
     if residual > 1e-10:
         raise FormatError(f"rotation for f{func_id} is not orthogonal ({residual:.2e})")
@@ -267,7 +278,7 @@ def evaluate_benchmark(inst, x):
     transform = inst.transform
     z = x - transform.shift if inst.shifted else x
     if inst.rotated:
-        z = transform.rotation @ z
+        z = transform.rotation.dot(z)
     if transform.scale != 1.0:
         z = z * transform.scale
     return inst.base(z)

@@ -58,6 +58,15 @@ def _repair(values, lower, upper, rule, rng):
     return values
 
 
+def _draw_index(n, rng):
+    """A uniform index below ``n``, as ``int(rng.integers(n))`` gives it.
+
+    ``integers(1)`` returns 0 without advancing the bit generator, so a
+    one-value range skips the call and keeps the stream bit for bit.
+    """
+    return int(rng.integers(n)) if n > 1 else 0
+
+
 def neighborhood_search(s, step_size, lower, upper, rule, rng):
     """Perturb exactly one uniformly chosen element by a zero-mean Gaussian.
 
@@ -65,8 +74,8 @@ def neighborhood_search(s, step_size, lower, upper, rule, rng):
     Draw order: element index, Gaussian offset, then any boundary repair.
     """
     out = np.array(s, dtype=float)
-    i = int(rng.integers(len(out)))
-    value = out.item(i) + rng.normal(0.0, step_size[i])
+    i = _draw_index(out.shape[0], rng)
+    value = out.item(i) + rng.normal(0.0, float(step_size[i]))
     lo, hi = lower[i], upper[i]
     if not lo <= value <= hi:
         value = apply_boundary(value, lo, hi, rule, rng)

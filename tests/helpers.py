@@ -5,6 +5,7 @@ from collections import deque
 import numpy as np
 
 from croopt.algorithms import SuccessRule, draw_loss_rate
+from croopt.benchmarks import griewank, schwefel_1_2, sphere
 from croopt.core import Molecule, ObjectiveSpec, ReactorState, total_energy, update_best
 from croopt.operators import BoundaryRule, SynthesisRule
 from croopt.reactions import (
@@ -202,3 +203,41 @@ class ReferenceWindow:
         if self.updates_seen % self.n:
             return None
         return "grow" if self.successes > 2 * self.n else "shrink"
+
+
+# Reference spellings of the objective: `@` for the rotation and for sphere,
+# and a fresh 1-based index vector on every call. The library spells these
+# with ndarray.dot and a cached read-only index vector; the property tests
+# check that both give the same bits.
+
+def _reference_sphere(z):
+    return float(z @ z)
+
+
+def _reference_schwefel_1_2(z):
+    weights = np.arange(1, z.shape[0] + 1, dtype=float)
+    return float((weights * z * z).sum())
+
+
+def _reference_griewank(z):
+    i = np.arange(1, z.shape[0] + 1, dtype=float)
+    return float((z * z).sum() / 4000.0 - np.cos(z / i).prod() + 1.0)
+
+
+REFERENCE_BASES = {
+    sphere: _reference_sphere,
+    schwefel_1_2: _reference_schwefel_1_2,
+    griewank: _reference_griewank,
+}
+
+
+def reference_evaluate(inst, x):
+    """evaluate_benchmark in the reference spellings above."""
+    x = np.asarray(x, dtype=float)
+    transform = inst.transform
+    z = x - transform.shift if inst.shifted else x
+    if inst.rotated:
+        z = transform.rotation @ z
+    if transform.scale != 1.0:
+        z = z * transform.scale
+    return REFERENCE_BASES.get(inst.base, inst.base)(z)

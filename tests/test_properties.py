@@ -2,8 +2,11 @@
 
 The library draws every scalar uniform as ``lo + (hi - lo) * rng.random()``
 rather than ``rng.uniform(lo, hi)``: the same formula numpy evaluates, so the
-same bits from the same stream. These tests pin that claim, keep repaired
-points inside the box under both boundary rules, check that random
+same bits from the same stream. These tests pin that claim and two more
+of the same kind: an index draw from a one-value range skips its generator
+call without moving the stream, and the objective's ndarray.dot and cached
+index vectors give the bits of `@` and a fresh np.arange. They also keep
+repaired points inside the box under both boundary rules, check that random
 reaction sequences conserve buffer + sum(PE + KE) and never overspend the
 evaluation budget, and check ACRO's block-count success rule against a
 literal sliding window of outcomes.
@@ -18,9 +21,15 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from croopt.algorithms import SuccessRule, draw_loss_rate
+from croopt.benchmarks import FUNCTION_TABLE, evaluate_benchmark, make_instance
 from croopt.core import Molecule, total_energy
 from croopt.errors import BudgetExhausted
-from croopt.operators import BoundaryRule, apply_boundary, neighborhood_search
+from croopt.operators import (
+    BoundaryRule,
+    _draw_index,
+    apply_boundary,
+    neighborhood_search,
+)
 from croopt.reactions import (
     decomposition,
     intermolecular_collision,
@@ -28,7 +37,14 @@ from croopt.reactions import (
     synthesis,
 )
 
-from helpers import ReferenceWindow, make_state, molecule, sphere_objective
+from helpers import (
+    REFERENCE_BASES,
+    ReferenceWindow,
+    make_state,
+    molecule,
+    reference_evaluate,
+    sphere_objective,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -78,6 +94,73 @@ def test_uniform_formula_matches_generator_bit_for_bit(seed, sequence):
         else:
             size = arg or None
             assert np.array_equal(formula.random(size), reference.random(size))
+
+
+@SETTINGS
+@given(seed=seeds, sequence=st.lists(
+    st.one_of(st.tuples(st.just("index"), st.integers(min_value=1, max_value=64)), steps),
+    min_size=1, max_size=40,
+))
+def test_draw_index_matches_generator_integers(seed, sequence):
+    # A one-value range draws nothing, so skipping that call must leave the
+    # bit generator exactly where integers(1) leaves it.
+    skipping = np.random.default_rng(seed)
+    reference = np.random.default_rng(seed)
+    for kind, arg in sequence:
+        if kind == "index":
+            assert _draw_index(arg, skipping) == int(reference.integers(arg))
+        elif kind == "uniform":
+            lo, hi = arg
+            assert bits(skipping.uniform(lo, hi)) == bits(reference.uniform(lo, hi))
+        elif kind == "integers":
+            assert skipping.integers(arg) == reference.integers(arg)
+        elif kind == "normal":
+            assert bits(skipping.normal(0.0, arg)) == bits(reference.normal(0.0, arg))
+        else:
+            size = arg or None
+            assert np.array_equal(skipping.random(size), reference.random(size))
+        assert skipping.bit_generator.state == reference.bit_generator.state
+
+
+def test_draw_index_covers_every_range_up_to_64():
+    skipping = np.random.default_rng(2024)
+    reference = np.random.default_rng(2024)
+    for n in range(1, 65):
+        for rng in (skipping, reference):
+            rng.random()
+            rng.normal(0.0, 3.0)
+            rng.integers(n + 1)
+        assert _draw_index(n, skipping) == int(reference.integers(n))
+        assert _draw_index(1, skipping) == int(reference.integers(1)) == 0
+        assert skipping.bit_generator.state == reference.bit_generator.state
+
+
+# One instance per (function, dimension): rotations up to 100x100 cost a QR.
+_INSTANCES = {}
+
+
+@SETTINGS
+@given(
+    func_id=st.sampled_from([fdef.id for fdef in FUNCTION_TABLE]),
+    dim=st.integers(min_value=1, max_value=100),
+    seed=seeds,
+    spread=st.sampled_from([1.0, 100.0, 1e4]),
+    stride=st.integers(min_value=1, max_value=3),
+)
+def test_objective_matches_reference_spellings(func_id, dim, seed, spread, stride):
+    key = (func_id, dim)
+    if key not in _INSTANCES:
+        _INSTANCES[key] = make_instance(func_id, dim)
+    inst = _INSTANCES[key]
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-spread, spread, dim * stride)[::stride]
+    assert x.flags.c_contiguous == (stride == 1 or dim == 1)
+    with np.errstate(over="ignore"):
+        assert bits(evaluate_benchmark(inst, x)) == bits(reference_evaluate(inst, x))
+        # The base formulas on a strided vector too: evaluate_benchmark
+        # hands them a fresh contiguous z for every function in the table.
+        if inst.base in REFERENCE_BASES:
+            assert bits(inst.base(x)) == bits(REFERENCE_BASES[inst.base](x))
 
 
 @SETTINGS
