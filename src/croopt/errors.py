@@ -30,7 +30,7 @@ class InvalidConfig(CROError):
 
 
 class FormatError(CROError):
-    """A function id or a raw transform file is malformed or truncated."""
+    """A function id or transform data is malformed, truncated or non-finite."""
 
 
 class EmptyCell(CROError):

@@ -105,9 +105,9 @@ def run_experiment(algorithms, benchmarks, runs, max_fes, base_seed,
 
     ``algorithms`` may hold Variant members, name strings, or ready-made
     configs; ``benchmarks`` holds BenchmarkInstance objects. The grid is
-    checked before any run starts: an invalid config, a variant or a
-    benchmark label listed twice, ``runs`` < 1 or ``parallelism`` < 1 raises
-    InvalidConfig. Each cell uses seeds base_seed .. base_seed + runs - 1.
+    checked before any run starts: an invalid config, an empty algorithm or
+    benchmark list, a variant or a benchmark label listed twice, ``runs`` < 1
+    or ``parallelism`` < 1 raises InvalidConfig. Each cell uses seeds base_seed .. base_seed + runs - 1.
     Records reach ``record_sink`` one at a time, which lets callers persist
     partial results; both the sink and the returned list see them in
     canonical (algorithm, benchmark, seed) order. The first failing run
@@ -124,6 +124,8 @@ def run_experiment(algorithms, benchmarks, runs, max_fes, base_seed,
             raise InvalidConfig(f"{name} must be >= 1, got {value}")
     for kind, labels in (("algorithm", [config.variant.value for config in configs]),
                          ("benchmark", [inst.label for inst in benchmarks])):
+        if not labels:
+            raise InvalidConfig(f"no {kind} given")
         repeated = sorted({label for label in labels if labels.count(label) > 1})
         if repeated:
             raise InvalidConfig(f"{kind} listed more than once: {', '.join(repeated)}")

@@ -3,6 +3,7 @@ import pytest
 
 from croopt.benchmarks import (
     FUNCTION_TABLE,
+    TransformData,
     ackley,
     as_objective,
     evaluate_benchmark,
@@ -144,6 +145,23 @@ def test_cec_rejects_truncated_rotation_and_bad_numbers(tmp_path):
     (tmp_path / "f3_shift.txt").write_text("1.5 2.5 x3 4.5")
     with pytest.raises(FormatError, match="bad number"):
         instance_from_cec_dir(3, dim, tmp_path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_instances_reject_non_finite_transform_data(bad, tmp_path):
+    dim = 4
+    good = generate_transform(SEED, 3, dim)
+    shift = good.shift.copy()
+    shift[2] = bad
+    rotation = good.rotation.copy()
+    rotation[1, 3] = bad
+    for transform in (TransformData(shift, good.rotation, good.scale),
+                      TransformData(good.shift, rotation, good.scale)):
+        with pytest.raises(FormatError, match="not finite"):
+            make_instance(3, dim, transform=transform)
+    (tmp_path / "f1_shift.txt").write_text(" ".join([repr(float(bad))] * dim))
+    with pytest.raises(FormatError, match="not finite"):
+        instance_from_cec_dir(1, dim, tmp_path)
 
 
 @pytest.mark.parametrize("dim", [0, -1])

@@ -34,10 +34,11 @@ def record(final_raw, algorithm="ACRO/BP", benchmark="f1", seed=0, trace=()):
     )
 
 
-def nan_instance(func_id, dim=10):
-    """A valid instance whose NaN shift makes every run fail at its first
-    evaluation, after the grid has been accepted."""
-    shift = np.full(dim, np.nan)
+def overflow_instance(func_id, dim=10):
+    """A valid instance whose finite shift of 1e308 overflows the objective
+    to inf, so every run fails at its first evaluation, after the grid has
+    been accepted."""
+    shift = np.full(dim, 1e308)
     return make_instance(func_id, dim, transform=TransformData(shift, np.eye(dim), 1.0))
 
 
@@ -159,10 +160,11 @@ def test_run_experiment_orders_records_canonically():
     ]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_run_experiment_wraps_failures_with_context():
     # Under parallelism the error is pickled back from a worker process and
     # must arrive as the same ExperimentError, not as a broken pool.
-    inst = nan_instance("f1")
+    inst = overflow_instance("f1")
     for parallelism in (1, 2):
         with pytest.raises(ExperimentError) as err:
             run_experiment(
@@ -177,8 +179,9 @@ def test_run_experiment_wraps_failures_with_context():
 
 @pytest.mark.parametrize("change", [
     {"runs": 0}, {"runs": -2}, {"parallelism": 0}, {"max_fes": 5},
-    {"algorithms": [ACROConfig(coll_rate=2.0)]},
-], ids=["runs=0", "runs=-2", "parallelism=0", "max_fes=5", "coll_rate=2"])
+    {"algorithms": [ACROConfig(coll_rate=2.0)]}, {"algorithms": []}, {"benchmarks": []},
+], ids=["runs=0", "runs=-2", "parallelism=0", "max_fes=5", "coll_rate=2",
+        "no-algorithms", "no-benchmarks"])
 def test_run_experiment_rejects_a_grid_before_any_run(change):
     sink = []
     kwargs = dict(algorithms=["ACRO/BP"], benchmarks=[make_instance("f1", 10, SEED)],
@@ -219,7 +222,7 @@ def test_run_experiment_cancels_queued_runs_after_a_failure():
     started = time.perf_counter()
     with pytest.raises(ExperimentError) as err:
         run_experiment(
-            [good], [nan_instance("f2"), inst], runs=30, max_fes=0, base_seed=0,
+            [good], [overflow_instance("f2"), inst], runs=30, max_fes=0, base_seed=0,
             parallelism=2,
         )
     elapsed = time.perf_counter() - started
@@ -274,9 +277,10 @@ def test_cli_reports_machine_readable_errors(tmp_path, capsys):
 
 
 def test_cli_reports_worker_failures_as_one_json_line(tmp_path, capfd):
-    # A NaN shift passes every check made before the grid starts; the run
-    # then fails inside a pool worker at its first evaluation.
-    (tmp_path / "f1_shift.txt").write_text(" ".join(["nan"] * 10))
+    # A finite shift of 1e308 passes every check made before the grid
+    # starts; the run then fails inside a pool worker at its first
+    # evaluation, where the objective overflows to inf.
+    (tmp_path / "f1_shift.txt").write_text(" ".join(["1e308"] * 10))
     code = main([
         "run", "--algo", "ACRO/BP", "--func", "f1", "--dim", "10",
         "--runs", "1", "--max-fes", "500", "--parallel", "2",
@@ -288,6 +292,21 @@ def test_cli_reports_worker_failures_as_one_json_line(tmp_path, capfd):
     parsed = json.loads(err_lines[0])
     assert parsed["error"] == "ExperimentError"
     assert "ACRO/BP on f1 (seed 0)" in parsed["message"]
+    assert "NonFiniteObjective" in parsed["message"]
+
+
+def test_cli_rejects_non_finite_cec_data_before_writing(tmp_path, capsys):
+    (tmp_path / "f1_shift.txt").write_text(" ".join(["nan"] * 10))
+    code = main([
+        "run", "--algo", "ACRO/BP", "--func", "f1", "--dim", "10",
+        "--runs", "1", "--max-fes", "500", "--out", str(tmp_path / "out"),
+        "--cec-data", str(tmp_path),
+    ])
+    assert code == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "FormatError"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_repeated_algorithms_and_functions(tmp_path, capsys):
@@ -310,6 +329,8 @@ def test_cli_rejects_repeated_algorithms_and_functions(tmp_path, capsys):
     ("--runs", "-2", "InvalidConfig"),
     ("--parallel", "0", "InvalidConfig"),
     ("--max-fes", "5", "InvalidConfig"),
+    ("--algo", ",", "InvalidConfig"),
+    ("--func", ",", "InvalidConfig"),
     ("--dim", "0", "DimensionMismatch"),
     ("--dim", "-1", "DimensionMismatch"),
 ])
