@@ -107,11 +107,12 @@ def run_experiment(algorithms, benchmarks, runs, max_fes, base_seed,
     configs; ``benchmarks`` holds BenchmarkInstance objects. The grid is
     checked before any run starts: an invalid config, an empty algorithm or
     benchmark list, a variant or a benchmark label listed twice, ``runs`` < 1
-    or ``parallelism`` < 1 raises InvalidConfig. Each cell uses seeds base_seed .. base_seed + runs - 1.
-    Records reach ``record_sink`` one at a time, which lets callers persist
-    partial results; both the sink and the returned list see them in
-    canonical (algorithm, benchmark, seed) order. The first failing run
-    raises, and the runs not yet started are cancelled.
+    or ``parallelism`` < 1 raises InvalidConfig. Each cell uses seeds
+    base_seed .. base_seed + runs - 1. Records reach ``record_sink`` one at
+    a time, which lets callers persist partial results; both the sink and
+    the returned list see them in canonical (algorithm, benchmark, seed)
+    order. The first failing run raises, and the runs not yet started are
+    cancelled.
     """
     configs = [
         default_config(algo, max_fes) if isinstance(algo, (Variant, str)) else algo
