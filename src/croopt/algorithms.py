@@ -35,7 +35,7 @@ from .core import (
     update_best,
 )
 from .errors import DimensionMismatch, InvalidConfig
-from .operators import BoundaryRule, SynthesisRule, _draw_index
+from .operators import BoundaryRule, SynthesisRule, _BitDraws, _draw_index
 from .reactions import (
     ReactionKind,
     decomposition,
@@ -152,8 +152,8 @@ def validate_config(cfg):
 def _validate_objective(spec):
     """Check the search box once per run: shapes, finiteness, lower < upper.
 
-    The finite width matters too: boundary repair scales a unit draw by
-    ``upper - lower``.
+    The width must be finite too, as boundary repair scales a unit draw by
+    it; the run's errstate keeps the overflow of that check quiet.
     """
     dim = _check_dimension(spec.dimension)
     for name in ("lower", "upper"):
@@ -164,8 +164,7 @@ def _validate_objective(spec):
     upper = np.asarray(spec.upper, dtype=float)
     _check(np.isfinite(lower).all() and np.isfinite(upper).all(), "bounds must be finite")
     _check((lower < upper).all(), "lower must lie below upper in every element")
-    with np.errstate(over="ignore"):
-        _check(np.isfinite(upper - lower).all(), "upper - lower overflows")
+    _check(np.isfinite(upper - lower).all(), "upper - lower overflows")
 
 
 class SuccessRule:
@@ -415,16 +414,25 @@ def run_acro(spec, cfg, rng, observer=None):
     ``observer(state)``, if given, is called once after initialization and
     after every reaction. It sees the live reactor and must not change it;
     it never receives the generator, so it cannot perturb the random stream.
-    The search box is validated once, before anything is drawn.
+    The search box is validated once, before anything is drawn. numpy's
+    floating-point warnings are silenced for the run: an objective that
+    overflows ends it with NonFiniteObjective instead.
     """
-    _validate_objective(spec)
-    return _drive(acro_init(spec, cfg, rng), spec, cfg, rng, observer)
+    return _run(acro_init, spec, cfg, rng, observer)
 
 
 def run_cro(spec, cfg, rng, observer=None):
     """Run one canonical optimization until the evaluation budget is spent.
 
-    ``observer`` and the box validation work as for :func:`run_acro`.
+    ``observer``, the box validation and the silenced warnings work as for
+    :func:`run_acro`.
     """
-    _validate_objective(spec)
-    return _drive(cro_init(spec, cfg, rng), spec, cfg, rng, observer)
+    return _run(cro_init, spec, cfg, rng, observer)
+
+
+def _run(init, spec, cfg, rng, observer):
+    # A Generator subclass may override the replayed methods: not replayed.
+    draws = _BitDraws(rng) if type(rng) is np.random.Generator else rng
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _validate_objective(spec)
+        return _drive(init(spec, cfg, draws), spec, cfg, draws, observer)

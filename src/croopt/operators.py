@@ -8,6 +8,7 @@ random stream.
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -67,6 +68,40 @@ def _draw_index(n, rng):
     return int(rng.integers(n)) if n > 1 else 0
 
 
+class _BitDraws:
+    """An exact ``np.random.Generator`` with cheaper scalar draws, same bits.
+
+    Scalar ``random()`` and ``integers(n)``, 1 <= n < 2**32, replay numpy's
+    C routines on the bit generator's public ``ctypes`` interface: the unit
+    double, and Lemire's bounded-integer rejection on ``next_uint32``
+    (``buffered_bounded_lemire_uint32``). Other draws are the generator's
+    own. The replay skips ``Generator.lock``: a run must own its generator.
+    """
+
+    def __init__(self, rng):
+        ct = rng.bit_generator.ctypes
+        self._rng = rng  # keeps the state behind ct.state_address alive
+        self._next_double = partial(ct.next_double, ct.state_address)
+        self._next_uint32 = partial(ct.next_uint32, ct.state_address)
+        self.normal = rng.normal
+        self.uniform = rng.uniform
+
+    def random(self, size=None):
+        return self._next_double() if size is None else self._rng.random(size)
+
+    def integers(self, n, *args, **kwargs):
+        if args or kwargs or type(n) is not int or not 1 <= n < 2**32:
+            return self._rng.integers(n, *args, **kwargs)
+        if n == 1:
+            return 0
+        m = self._next_uint32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (2**32 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next_uint32() * n
+        return m >> 32
+
+
 def neighborhood_search(s, step_size, lower, upper, rule, rng):
     """Perturb exactly one uniformly chosen element by a zero-mean Gaussian.
 
@@ -76,7 +111,7 @@ def neighborhood_search(s, step_size, lower, upper, rule, rng):
     out = np.array(s, dtype=float)
     i = _draw_index(out.shape[0], rng)
     value = out.item(i) + rng.normal(0.0, float(step_size[i]))
-    lo, hi = lower[i], upper[i]
+    lo, hi = float(lower[i]), float(upper[i])
     if not lo <= value <= hi:
         value = apply_boundary(value, lo, hi, rule, rng)
     out[i] = value

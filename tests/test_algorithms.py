@@ -296,6 +296,51 @@ def test_runs_are_bit_reproducible():
     assert a.fe_count == b.fe_count
 
 
+class ForwardingRNG:
+    """Forwards the four draws the library makes to a Generator without
+    being one, so a run takes numpy's own methods for every draw."""
+
+    def __init__(self, rng):
+        self.integers = rng.integers
+        self.normal = rng.normal
+        self.uniform = rng.uniform
+        self.random = rng.random
+
+
+def run_outcome(result):
+    state = result.state
+    return (
+        result.best_pe, result.best_solution.tobytes(), result.trace, result.fe_count,
+        state.buffer, state.step_size.tobytes(),
+        [(m.structure.tobytes(), m.pe, m.ke, m.loss_rate) for m in state.population],
+    )
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_replayed_draws_give_the_runs_of_generator_methods(variant):
+    runner = run_acro if variant.adaptive else run_cro
+    cfg = default_config(variant, max_fes=3_000)
+    for func in ("f1", "f16"):
+        spec = as_objective(make_instance(func, 10))
+        for seed in (1, 2):
+            replayed = np.random.default_rng(seed)
+            forwarded = np.random.default_rng(seed)
+            a = runner(spec, cfg, replayed)
+            b = runner(spec, cfg, ForwardingRNG(forwarded))
+            assert run_outcome(a) == run_outcome(b)
+            assert replayed.bit_generator.state == forwarded.bit_generator.state
+
+
+def test_list_bounds_give_the_run_of_array_bounds():
+    spec = as_objective(make_instance("f16", 10))
+    listed = ObjectiveSpec(spec.dimension, spec.lower.tolist(), spec.upper.tolist(),
+                           spec.evaluate)
+    cfg = ACROConfig(variant=Variant.ACRO_HP, change_rate=0.05, max_fes=3_000)
+    a = run_acro(spec, cfg, np.random.default_rng(3))
+    b = run_acro(listed, cfg, np.random.default_rng(3))
+    assert run_outcome(a) == run_outcome(b)
+
+
 def test_population_changes_by_at_most_one_per_iteration():
     inst = make_instance("f15", 10)
     cfg = ACROConfig(change_rate=0.05, max_fes=5_000)  # frequent changes

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import croopt
 from croopt.algorithms import ACROConfig, Variant
 from croopt.benchmarks import TransformData, make_instance
 from croopt.cli import main
@@ -160,17 +166,20 @@ def test_run_experiment_orders_records_canonically():
     ]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_run_experiment_wraps_failures_with_context():
     # Under parallelism the error is pickled back from a worker process and
-    # must arrive as the same ExperimentError, not as a broken pool.
+    # must arrive as the same ExperimentError, not as a broken pool. The
+    # overflow itself warns nothing: the error reports it.
     inst = overflow_instance("f1")
     for parallelism in (1, 2):
-        with pytest.raises(ExperimentError) as err:
-            run_experiment(
-                ["ACRO/BP"], [inst], runs=1, max_fes=500, base_seed=9,
-                parallelism=parallelism,
-            )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ExperimentError) as err:
+                run_experiment(
+                    ["ACRO/BP"], [inst], runs=1, max_fes=500, base_seed=9,
+                    parallelism=parallelism,
+                )
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert err.value.algorithm == "ACRO/BP"
         assert err.value.benchmark == "f1"
         assert err.value.seed == 9
@@ -292,6 +301,29 @@ def test_cli_reports_worker_failures_as_one_json_line(tmp_path, capfd):
     parsed = json.loads(err_lines[0])
     assert parsed["error"] == "ExperimentError"
     assert "ACRO/BP on f1 (seed 0)" in parsed["message"]
+    assert "NonFiniteObjective" in parsed["message"]
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_cli_overflow_writes_only_the_json_line_to_stderr(tmp_path, parallel):
+    # A fresh interpreter, as a user runs it: nothing captures numpy's
+    # warnings there, so any would land on stderr next to the error line.
+    (tmp_path / "f1_shift.txt").write_text(" ".join(["1e308"] * 10))
+    src = str(Path(croopt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from croopt.cli import main; sys.exit(main())",
+         "run", "--algo", "ACRO/BP", "--func", "f1", "--dim", "10", "--runs", "1",
+         "--max-fes", "500", "--parallel", parallel, "--out", str(tmp_path / "out"),
+         "--cec-data", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    err_lines = proc.stderr.splitlines()
+    assert len(err_lines) == 1, proc.stderr
+    parsed = json.loads(err_lines[0])
+    assert parsed["error"] == "ExperimentError"
     assert "NonFiniteObjective" in parsed["message"]
 
 

@@ -2,14 +2,15 @@
 
 The library draws every scalar uniform as ``lo + (hi - lo) * rng.random()``
 rather than ``rng.uniform(lo, hi)``: the same formula numpy evaluates, so the
-same bits from the same stream. These tests pin that claim and two more
+same bits from the same stream. These tests pin that claim and three more
 of the same kind: an index draw from a one-value range skips its generator
-call without moving the stream, and the objective's ndarray.dot and cached
-index vectors give the bits of `@` and a fresh np.arange. They also keep
-repaired points inside the box under both boundary rules, check that random
-reaction sequences conserve buffer + sum(PE + KE) and never overspend the
-evaluation budget, and check ACRO's block-count success rule against a
-literal sliding window of outcomes.
+call without moving the stream, a run's scalar draws replayed on the bit
+generator give the values and state of the Generator's own methods, and the
+objective's ndarray.dot and cached index vectors give the bits of `@` and a
+fresh np.arange. They also keep repaired points inside the box under both
+boundary rules, check that random reaction sequences conserve buffer +
+sum(PE + KE) and never overspend the evaluation budget, and check ACRO's
+block-count success rule against a literal sliding window of outcomes.
 """
 
 import math
@@ -17,7 +18,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from croopt.algorithms import SuccessRule, draw_loss_rate
@@ -26,6 +27,7 @@ from croopt.core import Molecule, total_energy
 from croopt.errors import BudgetExhausted
 from croopt.operators import (
     BoundaryRule,
+    _BitDraws,
     _draw_index,
     apply_boundary,
     neighborhood_search,
@@ -133,6 +135,56 @@ def test_draw_index_covers_every_range_up_to_64():
         assert _draw_index(n, skipping) == int(reference.integers(n))
         assert _draw_index(1, skipping) == int(reference.integers(1)) == 0
         assert skipping.bit_generator.state == reference.bit_generator.state
+
+
+def same_state(a, b):
+    """Equal bit generator states; MT19937's holds an array."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+# The runs draw small index ranges. For n <= 64 Lemire's rejection loop runs
+# with probability below 2**-26 per draw, so the replay's loop and threshold
+# are tested by ranges in [2**31, 2**32): at n = 2**31 + 1 the loop runs about
+# half the time, and n = 2**31 has a zero threshold. n == 1 draws nothing,
+# and n >= 2**32 is handed to the generator's own method.
+replay_ranges = st.one_of(
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=2**31, max_value=2**32 - 1),
+    st.sampled_from([1, 2**31, 2**31 + 1, 2**32 - 1, 2**32]),
+    st.integers(min_value=2**32, max_value=2**40),
+)
+
+
+@SETTINGS
+@given(
+    bit_generator=st.sampled_from([np.random.PCG64, np.random.PCG64DXSM,
+                                   np.random.MT19937, np.random.Philox,
+                                   np.random.SFC64]),
+    seed=seeds,
+    sequence=st.lists(st.one_of(st.tuples(st.just("integers"), replay_ranges), steps),
+                      min_size=1, max_size=40),
+)
+@example(bit_generator=np.random.PCG64, seed=0,
+         sequence=[("integers", 2**31), ("integers", 2**31 + 1)] * 16)
+def test_bit_draws_replay_the_generator_exactly(bit_generator, seed, sequence):
+    replayed = np.random.Generator(bit_generator(seed))
+    reference = np.random.Generator(bit_generator(seed))
+    draws = _BitDraws(replayed)
+    for kind, arg in sequence:
+        if kind == "integers":
+            assert draws.integers(arg) == reference.integers(arg)
+        elif kind == "uniform":
+            lo, hi = arg
+            assert bits(draws.uniform(lo, hi)) == bits(reference.uniform(lo, hi))
+        elif kind == "normal":
+            assert bits(draws.normal(0.0, arg)) == bits(reference.normal(0.0, arg))
+        elif arg:
+            assert draws.random(arg).tobytes() == reference.random(arg).tobytes()
+        else:
+            assert bits(draws.random()) == bits(reference.random())
+        assert same_state(replayed.bit_generator.state, reference.bit_generator.state)
 
 
 # One instance per (function, dimension): rotations up to 100x100 cost a QR.
