@@ -125,9 +125,15 @@ def _check(condition, message):
         raise InvalidConfig(message)
 
 
+def _check_count(cfg, name):
+    value = getattr(cfg, name)
+    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    _check(whole and value >= 1, f"{name} must be an integer >= 1, got {value!r}")
+
+
 def validate_config(cfg):
-    _check(isinstance(cfg.max_fes, int) and cfg.max_fes >= 1, "max_fes must be >= 1")
-    _check(cfg.ini_pop_size >= 1, "ini_pop_size must be >= 1")
+    _check_count(cfg, "max_fes")
+    _check_count(cfg, "ini_pop_size")
     _check(
         cfg.max_fes >= cfg.ini_pop_size,
         "max_fes cannot even evaluate the initial population",
@@ -138,14 +144,14 @@ def validate_config(cfg):
         _check(0.0 <= cfg.change_rate <= 1.0, "change_rate must lie in [0, 1]")
         return
     _check(not cfg.variant.adaptive, f"{cfg.variant.value} is an adaptive variant")
-    _check(cfg.ini_ke >= 0.0, "ini_ke must be >= 0")
-    _check(cfg.ini_buffer >= 0.0, "ini_buffer must be >= 0")
+    _check(0.0 <= cfg.ini_ke < math.inf, "ini_ke must be finite and >= 0")
+    _check(0.0 <= cfg.ini_buffer < math.inf, "ini_buffer must be finite and >= 0")
     _check(0.0 <= cfg.loss_rate <= 1.0, "loss_rate must lie in [0, 1]")
     _check(cfg.dec_thres >= 0.0, "dec_thres must be >= 0")
     _check(cfg.syn_thres >= 0.0, "syn_thres must be >= 0")
     _check(cfg.step_size > 0.0, "step_size must be positive")
     if cfg.variant is Variant.CRO_D:
-        _check(cfg.adapt_interval >= 1, "adapt_interval must be >= 1")
+        _check_count(cfg, "adapt_interval")
         _check(0.0 < cfg.adapt_rate < 1.0, "adapt_rate must lie in (0, 1)")
 
 
@@ -234,7 +240,6 @@ def _init_reactor(spec, cfg, rng, **fields):
     state = ReactorState(
         boundary_rule=cfg.variant.boundary_rule,
         synthesis_rule=cfg.variant.synthesis_rule,
-        max_fes=cfg.max_fes,
         **fields,
     )
     structures = [rng.uniform(spec.lower, spec.upper) for _ in range(cfg.ini_pop_size)]
@@ -339,21 +344,22 @@ def _react_cro(state, spec, cfg, rng):
     return on_wall_collision(state, spec, i, rng)
 
 
-def _evaluation_decay(state, cfg):
-    """CRO/D: one multiplicative decay per adapt_interval evaluations,
-    counting the initial population's evaluations."""
-    while state.fe_count >= (state.step_decays + 1) * cfg.adapt_interval:
+def _evaluation_decay(state, cfg, due):
+    """CRO/D: one multiplicative decay per adapt_interval evaluations, due
+    at ``due`` and counting the initial population's; returns the next due."""
+    while state.fe_count >= due:
         state.step_size *= cfg.adapt_rate
-        state.step_decays += 1
+        due += cfg.adapt_interval
+    return due
 
 
-def _extend_trace(trace, state):
+def _extend_trace(trace, state, max_fes):
     """Record the best PE at every checkpoint k * max_fes // 100 reached.
 
     Returns the evaluation count at which the next checkpoint falls due.
     """
     while len(trace) < 100:
-        fe = (len(trace) + 1) * state.max_fes // 100
+        fe = (len(trace) + 1) * max_fes // 100
         if fe > state.fe_count:
             return fe
         trace.append((fe, state.best_pe))
@@ -367,20 +373,20 @@ def _drive(state, spec, cfg, rng, observer):
     how the next reaction is chosen, and how the step size adapts. ACRO
     feeds every best-update outcome to a SuccessRule; CRO/D decays its step
     by the evaluation count after initialization and after every reaction;
-    the other canonical variants keep a fixed step. When a single evaluation
-    remains, an on-wall collision is forced so two-evaluation reactions
-    never strand budget.
+    the other canonical variants keep a fixed step. The loop alone meets
+    the reactions' preconditions: when a single evaluation remains, an
+    on-wall collision is forced, and a pair reaction gets two distinct
+    molecules.
     """
     started = time.perf_counter()
+    max_fes = int(cfg.max_fes)
     adaptive = isinstance(cfg, ACROConfig)
     react = _react_acro if adaptive else _react_cro
-    rule = SuccessRule(max(1, cfg.max_fes // 100)) if adaptive else None
-    decay = cfg.variant is Variant.CRO_D
-    if decay:
-        _evaluation_decay(state, cfg)
-    max_fes = cfg.max_fes
+    rule = SuccessRule(max(1, max_fes // 100)) if adaptive else None
+    next_decay = cfg.adapt_interval if cfg.variant is Variant.CRO_D else math.inf
+    next_decay = _evaluation_decay(state, cfg, next_decay)
     trace = []
-    next_checkpoint = _extend_trace(trace, state)
+    next_checkpoint = _extend_trace(trace, state, max_fes)
     if observer is not None:
         observer(state)
     while state.fe_count < max_fes:
@@ -392,10 +398,10 @@ def _drive(state, spec, cfg, rng, observer):
             improved = update_best(state, structure, pe)
             if rule is not None:
                 rule.record(state, improved)
-        if decay:
-            _evaluation_decay(state, cfg)
+        if state.fe_count >= next_decay:
+            next_decay = _evaluation_decay(state, cfg, next_decay)
         if state.fe_count >= next_checkpoint:
-            next_checkpoint = _extend_trace(trace, state)
+            next_checkpoint = _extend_trace(trace, state, max_fes)
         if observer is not None:
             observer(state)
     return RunResult(

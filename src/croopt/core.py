@@ -5,9 +5,9 @@ solution plus its potential energy (the objective value, minimized), its
 kinetic energy (tolerance for accepting worse solutions), collision counters,
 and a per-molecule energy loss rate. The reactor owns the population, the
 central energy buffer, the evaluation counter, the best-ever record and the
-per-element step sizes. How the step sizes evolve is up to the run loop in
-``algorithms``. Two reactor fields serve one family each: ``child_loss_rate``
-is set by ACRO only, and ``step_decays`` is counted by CRO/D only.
+per-element step sizes. The run loop in ``algorithms`` owns the rest of a
+run: its evaluation budget, which molecules each reaction gets, and how the
+step sizes evolve. ``child_loss_rate`` is set by ACRO only.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ class ReactorState:
     step_size: np.ndarray
     boundary_rule: BoundaryRule
     synthesis_rule: SynthesisRule
-    max_fes: int
     buffer: float = 0.0
     population: list[Molecule] = field(default_factory=list)
     fe_count: int = 0
@@ -96,8 +95,6 @@ class ReactorState:
     # Drawn for every molecule created mid-run; None means children inherit
     # the parent's loss rate (the canonical global-constant behaviour).
     child_loss_rate: Optional[Callable[[np.random.Generator], float]] = None
-    # Step decays applied so far; only CRO/D decays its step.
-    step_decays: int = 0
 
 
 def evaluate_and_count(state, spec, solution):

@@ -9,18 +9,6 @@ class NonFiniteObjective(CROError):
     """The objective returned NaN or infinity for an in-bounds point."""
 
 
-class BudgetExhausted(CROError):
-    """Too few objective evaluations left to perform the requested reaction."""
-
-
-class SameMolecule(CROError):
-    """A two-molecule reaction was given the same molecule twice."""
-
-
-class PopulationTooSmall(CROError):
-    """The population cannot support the requested reaction."""
-
-
 class DimensionMismatch(CROError):
     """Vector lengths disagree with the problem dimension."""
 

@@ -2,7 +2,8 @@
 
 All operators are pure: they never mutate their input vectors and draw
 randomness only from the generator they are handed, so callers own the
-random stream.
+random stream. They trust their inputs: every structure is a float64 vector
+of the problem's length, as it is throughout a run.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from enum import Enum
 from functools import partial
 
 import numpy as np
-
-from .errors import DimensionMismatch
 
 
 class BoundaryRule(Enum):
@@ -108,7 +107,7 @@ def neighborhood_search(s, step_size, lower, upper, rule, rng):
     The Gaussian standard deviation is the step size of the chosen element.
     Draw order: element index, Gaussian offset, then any boundary repair.
     """
-    out = np.array(s, dtype=float)
+    out = s.copy()
     i = _draw_index(out.shape[0], rng)
     value = out.item(i) + rng.normal(0.0, float(step_size[i]))
     lo, hi = float(lower[i]), float(upper[i])
@@ -127,7 +126,7 @@ def decompose_structure(s, step_size, lower, upper, rule, rng):
     """
     children = []
     for _ in range(2):
-        child = np.array(s, dtype=float)
+        child = s.copy()
         mask = rng.random(child.shape[0]) < 0.5
         deltas = rng.normal(0.0, step_size)
         child[mask] += deltas[mask]
@@ -143,10 +142,6 @@ def synthesize_structure(a, b, rule, lower, upper, rng, boundary_rule):
     interval widened by half its width on both sides, then repairs bounds
     with ``boundary_rule`` (the blend interval can leave the box near walls).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"parent lengths differ: {a.shape} vs {b.shape}")
     if rule is SynthesisRule.PROBABILISTIC_SELECT:
         mask = rng.random(a.shape[0]) < 0.5
         return np.where(mask, a, b)

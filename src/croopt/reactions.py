@@ -5,6 +5,9 @@ are charged whether or not the reaction succeeds), then applies the energy
 criterion. Successful reactions redistribute energy exactly, so the reactor
 total (buffer + sum of PE + KE) is conserved; failed reactions advance only
 collision counters and the evaluation count.
+
+A reaction trusts its caller, the run loop, to leave budget for its
+evaluations and to hand it in-range indices, two distinct ones for a pair.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from enum import Enum
 import numpy as np
 
 from .core import Molecule, evaluate_and_count
-from .errors import BudgetExhausted, PopulationTooSmall, SameMolecule
 from .operators import decompose_structure, neighborhood_search, synthesize_structure
 
 
@@ -35,13 +37,6 @@ class ReactionOutcome:
     new_structures: list[tuple[np.ndarray, float]]
 
 
-def _require_budget(state, cost):
-    if state.fe_count + cost > state.max_fes:
-        raise BudgetExhausted(
-            f"need {cost} evaluations, {state.max_fes - state.fe_count} remain"
-        )
-
-
 def _child_loss_rate(state, parent, rng):
     if state.child_loss_rate is not None:
         return state.child_loss_rate(rng)
@@ -55,7 +50,6 @@ def on_wall_collision(state, spec, index, rng):
     the central buffer: the retained fraction q is uniform on
     [loss_rate, 1], the remainder feeds the buffer.
     """
-    _require_budget(state, 1)
     mol = state.population[index]
     trial = neighborhood_search(
         mol.structure, state.step_size, spec.lower, spec.upper, state.boundary_rule, rng
@@ -82,7 +76,6 @@ def decomposition(state, spec, index, rng):
     uniform draw, and child loss rates are drawn fresh where the run is
     adaptive.
     """
-    _require_budget(state, 2)
     mol = state.population[index]
     c1, c2 = decompose_structure(
         mol.structure, state.step_size, spec.lower, spec.upper, state.boundary_rule, rng
@@ -121,9 +114,6 @@ def intermolecular_collision(state, spec, i, j, rng):
     redistributed between the two new KEs by a uniform split. The buffer is
     never touched.
     """
-    if i == j:
-        raise SameMolecule(f"indices must differ, got {i} twice")
-    _require_budget(state, 2)
     m1 = state.population[i]
     m2 = state.population[j]
     t1 = neighborhood_search(
@@ -151,11 +141,6 @@ def synthesis(state, spec, i, j, rng):
     Succeeds when the pooled PE + KE of the parents covers the child's PE;
     the whole leftover becomes the child's KE, so nothing reaches the buffer.
     """
-    if i == j:
-        raise SameMolecule(f"indices must differ, got {i} twice")
-    if len(state.population) < 2:
-        raise PopulationTooSmall("synthesis needs at least two molecules")
-    _require_budget(state, 1)
     m1 = state.population[i]
     m2 = state.population[j]
     trial = synthesize_structure(

@@ -59,11 +59,11 @@ def sphere_objective(dim, bound=100.0):
     return ObjectiveSpec(dim, lower, upper, lambda x: float(x @ x))
 
 
-def make_state(molecules, *, buffer=0.0, dim=None, step=1.0, max_fes=10**9,
+def make_state(molecules, *, buffer=0.0, dim=None, step=1.0,
                boundary=BoundaryRule.BP,
                synthesis_rule=SynthesisRule.PROBABILISTIC_SELECT,
                child_loss_rate=None):
-    """A reactor holding ``molecules``; the default budget never runs out."""
+    """A reactor holding ``molecules``."""
     dim = dim if dim is not None else molecules[0].structure.shape[0]
     return ReactorState(
         population=list(molecules),
@@ -71,7 +71,6 @@ def make_state(molecules, *, buffer=0.0, dim=None, step=1.0, max_fes=10**9,
         step_size=np.full(dim, float(step)),
         boundary_rule=boundary,
         synthesis_rule=synthesis_rule,
-        max_fes=max_fes,
         child_loss_rate=child_loss_rate,
     )
 

@@ -268,13 +268,41 @@ def test_run_acro_rejects_undersized_budget():
         CROConfig(loss_rate=1.2),
         CROConfig(ini_buffer=-1.0),
         CROConfig(variant=Variant.CRO_D, adapt_rate=1.0),
+        ACROConfig(max_fes=3000.0),
+        ACROConfig(ini_pop_size=2.5),
+        ACROConfig(ini_pop_size=True),
+        CROConfig(max_fes=True, ini_pop_size=1),
+        CROConfig(variant=Variant.CRO_D, adapt_interval=2.5),
+        CROConfig(variant=Variant.CRO_D, adapt_interval=True),
+        CROConfig(ini_ke=np.inf),
+        CROConfig(ini_buffer=np.inf),
     ],
 )
 def test_invalid_configs_rejected(cfg):
     inst = make_instance("f1", 10)
     runner = run_acro if isinstance(cfg, ACROConfig) else run_cro
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(InvalidConfig) as rejected:
         runner(as_objective(inst), cfg, np.random.default_rng(0))
+    # The message names a field that differs from the variant's defaults.
+    default = type(cfg)(variant=cfg.variant)
+    changed = [f.name for f in dataclasses.fields(cfg)
+               if getattr(cfg, f.name) != getattr(default, f.name)]
+    assert str(rejected.value).split()[0] in changed
+
+
+@pytest.mark.parametrize("runner, make", [
+    (run_acro, lambda n: ACROConfig(ini_pop_size=n(20), max_fes=n(3000))),
+    (run_cro, lambda n: CROConfig(variant=Variant.CRO_D, ini_pop_size=n(20),
+                                  adapt_interval=n(10), max_fes=n(3000))),
+], ids=["ACRO/BP", "CRO/D"])
+def test_numpy_integer_counts_give_the_run_of_equal_ints(runner, make):
+    spec = as_objective(make_instance("f16", 10))
+    plain = runner(spec, make(int), np.random.default_rng(1))
+    numpy_ints = runner(spec, make(np.int64), np.random.default_rng(1))
+    assert numpy_ints.best_pe == plain.best_pe
+    assert np.array_equal(numpy_ints.best_solution, plain.best_solution)
+    assert numpy_ints.trace == plain.trace
+    assert all(type(fe) is int for fe, _ in numpy_ints.trace)
 
 
 def test_config_type_must_match_runner():

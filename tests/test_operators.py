@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from croopt.errors import DimensionMismatch
 from croopt.operators import (
     BoundaryRule,
     SynthesisRule,
@@ -187,12 +186,6 @@ def test_blx_repairs_bounds_near_walls():
     for _ in range(2_000):
         out = synthesize_structure(a, b, BLX, lower, upper, rng, BP)
         assert np.all(out >= lower) and np.all(out <= upper)
-
-
-def test_synthesize_dimension_mismatch():
-    rng = np.random.default_rng(17)
-    with pytest.raises(DimensionMismatch):
-        synthesize_structure(np.zeros(3), np.zeros(4), PS, *box_bounds(3), rng, BP)
 
 
 @pytest.mark.parametrize("rule", [PS, BLX])

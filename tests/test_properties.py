@@ -9,8 +9,9 @@ generator give the values and state of the Generator's own methods, and the
 objective's ndarray.dot and cached index vectors give the bits of `@` and a
 fresh np.arange. They also keep repaired points inside the box under both
 boundary rules, check that random reaction sequences conserve buffer +
-sum(PE + KE) and never overspend the evaluation budget, and check ACRO's
-block-count success rule against a literal sliding window of outcomes.
+sum(PE + KE), check that the run loop meets every reaction's preconditions
+(budget, indices, population size) and spends its budget exactly, and check
+ACRO's block-count success rule against a literal sliding window of outcomes.
 """
 
 import math
@@ -21,10 +22,10 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from croopt.algorithms import SuccessRule, draw_loss_rate
+from croopt import algorithms
+from croopt.algorithms import ACROConfig, CROConfig, SuccessRule, Variant, draw_loss_rate
 from croopt.benchmarks import FUNCTION_TABLE, evaluate_benchmark, make_instance
 from croopt.core import Molecule, total_energy
-from croopt.errors import BudgetExhausted
 from croopt.operators import (
     BoundaryRule,
     _BitDraws,
@@ -298,21 +299,77 @@ def test_reaction_sequences_conserve_energy_within_budget(seed, budget, rule, se
             Molecule.fresh(structure, spec.evaluate(structure), ke, draw_loss_rate(rng))
         )
     state = make_state(molecules, buffer=rng.uniform(0.0, 100.0), step=2.0,
-                       max_fes=budget, boundary=rule, child_loss_rate=draw_loss_rate)
+                       boundary=rule, child_loss_rate=draw_loss_rate)
     before = total_energy(state)
     for kind, picks in sequence:
+        # Skipped as the run loop never calls them: a pair reaction on a lone
+        # molecule, or a reaction costing more evaluations than remain.
         if kind in ("inter-molecular", "synthesis") and len(state.population) < 2:
             continue
-        remaining = budget - state.fe_count
-        if COST[kind] > remaining:
-            with pytest.raises(BudgetExhausted):
-                _react(kind, state, spec, picks, rng)
-        else:
-            _react(kind, state, spec, picks, rng)
-        assert state.fe_count <= budget
+        spent = state.fe_count
+        if COST[kind] > budget - spent:
+            continue
+        _react(kind, state, spec, picks, rng)
+        assert state.fe_count == spent + COST[kind]
         after = total_energy(state)
         assert math.isclose(after, before, rel_tol=1e-9, abs_tol=1e-9)
         before = after
+
+
+# The run loop's contract ---------------------------------------------------
+
+#: Each reaction the loop calls, by its name in croopt.algorithms, with its
+#: cost in evaluations. The reactions trust the loop for their budget and
+#: their molecules; the wrappers from _checked assert that the trust holds.
+LOOP_REACTIONS = {
+    "on_wall_collision": 1,
+    "decomposition": 2,
+    "intermolecular_collision": 2,
+    "synthesis": 1,
+}
+
+
+def _checked(reaction, cost, max_fes):
+    def call(state, spec, *args):
+        *indices, _ = args
+        size = len(state.population)
+        assert state.fe_count + cost <= max_fes, "reaction costs more than remains"
+        assert all(0 <= i < size for i in indices), f"index out of {size}: {indices}"
+        if len(indices) == 2:
+            assert indices[0] != indices[1], f"pair of one molecule: {indices}"
+            assert size >= 2
+        return reaction(state, spec, *args)
+    return call
+
+
+@st.composite
+def loop_configs(draw):
+    """Small runs of every variant that choose pair reactions often."""
+    variant = draw(st.sampled_from(list(Variant)))
+    pop = draw(st.integers(min_value=1, max_value=6))
+    budget = pop + draw(st.integers(min_value=0, max_value=80))
+    if variant.adaptive:
+        change_rate = draw(st.sampled_from([0.0, 0.3, 1.0]))
+        return ACROConfig(variant=variant, ini_pop_size=pop, change_rate=change_rate,
+                          max_fes=budget)
+    # dec_thres 0 decomposes any molecule hit since its own best; syn_thres
+    # 1e300 merges every pair that collides; adapt_interval 7 lets CRO/D
+    # decay its step within these short runs.
+    dec_thres, syn_thres = draw(st.sampled_from([(0.0, 1e300), (0.0, 10.0), (1.5e5, 1e300)]))
+    return CROConfig(variant=variant, ini_pop_size=pop, dec_thres=dec_thres,
+                     syn_thres=syn_thres, adapt_interval=7, max_fes=budget)
+
+
+@SETTINGS
+@given(seed=seeds, dim=st.integers(min_value=1, max_value=4), cfg=loop_configs())
+def test_run_loop_meets_every_reaction_precondition(seed, dim, cfg):
+    run = algorithms.run_acro if cfg.variant.adaptive else algorithms.run_cro
+    with pytest.MonkeyPatch.context() as patch:
+        for name, cost in LOOP_REACTIONS.items():
+            reaction = getattr(algorithms, name)
+            patch.setattr(algorithms, name, _checked(reaction, cost, cfg.max_fes))
+        result = run(sphere_objective(dim, bound=5.0), cfg, np.random.default_rng(seed))
+    assert result.fe_count == result.state.fe_count == cfg.max_fes
 
 
 @SETTINGS

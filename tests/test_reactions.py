@@ -3,7 +3,6 @@ import pytest
 
 from croopt.algorithms import draw_loss_rate
 from croopt.core import ObjectiveSpec
-from croopt.errors import BudgetExhausted, PopulationTooSmall, SameMolecule
 from croopt.reactions import (
     ReactionKind,
     decomposition,
@@ -217,32 +216,6 @@ def test_synthesis_failure_keeps_parents():
     assert state.fe_count == 1
 
 
-def test_two_molecule_reactions_reject_same_index():
-    spec = const_objective(3, 1.0)
-    mols = [molecule(np.zeros(3), 3.0, 2.0), molecule(np.ones(3), 4.0, 1.0)]
-    state = make_state(mols)
-    rng = np.random.default_rng(14)
-    with pytest.raises(SameMolecule):
-        intermolecular_collision(state, spec, 1, 1, rng)
-    with pytest.raises(SameMolecule):
-        synthesis(state, spec, 0, 0, rng)
-
-
-def test_synthesis_needs_two_molecules():
-    spec = const_objective(3, 1.0)
-    state = make_state([molecule(np.zeros(3), 3.0, 2.0)])
-    with pytest.raises(PopulationTooSmall):
-        synthesis(state, spec, 0, 1, np.random.default_rng(15))
-
-
-#: Objective evaluations each reaction consumes, success or not.
-COST = {
-    ReactionKind.ON_WALL: 1,
-    ReactionKind.DECOMPOSITION: 2,
-    ReactionKind.INTER_MOLECULAR: 2,
-    ReactionKind.SYNTHESIS: 1,
-}
-
 #: Population-size change per (kind, success): only a successful
 #: decomposition grows the population and only a successful synthesis
 #: shrinks it.
@@ -256,26 +229,6 @@ POPULATION_CHANGE = {
     (ReactionKind.SYNTHESIS, True): -1,
     (ReactionKind.SYNTHESIS, False): 0,
 }
-
-
-@pytest.mark.parametrize(
-    "kind", [k for k in ReactionKind]
-)
-def test_reactions_respect_budget(kind):
-    spec = const_objective(3, 1.0)
-    mols = [molecule(np.zeros(3), 3.0, 2.0), molecule(np.ones(3), 4.0, 1.0)]
-    state = make_state(mols, max_fes=COST[kind] - 1)
-    rng = np.random.default_rng(16)
-    with pytest.raises(BudgetExhausted):
-        if kind is ReactionKind.ON_WALL:
-            on_wall_collision(state, spec, 0, rng)
-        elif kind is ReactionKind.DECOMPOSITION:
-            decomposition(state, spec, 0, rng)
-        elif kind is ReactionKind.INTER_MOLECULAR:
-            intermolecular_collision(state, spec, 0, 1, rng)
-        else:
-            synthesis(state, spec, 0, 1, rng)
-    assert state.fe_count == 0  # nothing consumed when refused up front
 
 
 def test_failed_reactions_still_charge_their_evaluations():
