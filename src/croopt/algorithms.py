@@ -31,6 +31,7 @@ from .core import (
     Molecule,
     ReactorState,
     _check_dimension,
+    _is_count,
     evaluate_and_count,
     update_best,
 )
@@ -127,8 +128,7 @@ def _check(condition, message):
 
 def _check_count(cfg, name):
     value = getattr(cfg, name)
-    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    _check(whole and value >= 1, f"{name} must be an integer >= 1, got {value!r}")
+    _check(_is_count(value), f"{name} must be an integer >= 1, got {value!r}")
 
 
 def validate_config(cfg):

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ObjectiveSpec, _check_dimension
+from .core import ObjectiveSpec, _check_dimension, _is_count
 from .errors import DimensionMismatch, FormatError
 
 DEFAULT_BOUND = 100.0
@@ -168,17 +168,15 @@ _DEFS_BY_ID = {d.id: d for d in FUNCTION_TABLE}
 
 def parse_func_id(func_id):
     """Accept 7, '7' or 'f7'; returns the integer id."""
+    number = func_id
     if isinstance(func_id, str):
-        text = func_id.strip().lower()
-        if text.startswith("f"):
-            text = text[1:]
         try:
-            func_id = int(text)
+            number = int(func_id.strip().lower().removeprefix("f"))
         except ValueError:
-            raise FormatError(f"not a function id: {func_id!r}") from None
-    if func_id not in _DEFS_BY_ID:
-        raise FormatError(f"function id out of range: {func_id!r}")
-    return int(func_id)
+            number = None
+    if not (_is_count(number) and number in _DEFS_BY_ID):
+        raise FormatError(f"not a function id in f1..f{len(_DEFS_BY_ID)}: {func_id!r}")
+    return int(number)
 
 
 @dataclass(eq=False)

@@ -22,9 +22,15 @@ from .errors import DimensionMismatch, NonFiniteObjective
 from .operators import BoundaryRule, SynthesisRule
 
 
+def _is_count(value, least=1):
+    """The package's one integer-input rule: an int or numpy int >= ``least``, no bool."""
+    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return whole and value >= least
+
+
 def _check_dimension(dim):
     """Return ``dim`` if it is a positive integer, else raise DimensionMismatch."""
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
+    if not _is_count(dim):
         raise DimensionMismatch(f"dimension must be a positive integer, got {dim!r}")
     return dim
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .algorithms import Variant, default_config, run_acro, run_cro, validate_config
 from .benchmarks import as_objective
+from .core import _is_count
 from .errors import EmptyCell, ExperimentError, InvalidConfig
 
 ZERO_THRESHOLD = 1e-8
@@ -106,13 +107,13 @@ def run_experiment(algorithms, benchmarks, runs, max_fes, base_seed,
     ``algorithms`` may hold Variant members, name strings, or ready-made
     configs; ``benchmarks`` holds BenchmarkInstance objects. The grid is
     checked before any run starts: an invalid config, an empty algorithm or
-    benchmark list, a variant or a benchmark label listed twice, ``runs`` < 1
-    or ``parallelism`` < 1 raises InvalidConfig. Each cell uses seeds
-    base_seed .. base_seed + runs - 1. Records reach ``record_sink`` one at
-    a time, which lets callers persist partial results; both the sink and
-    the returned list see them in canonical (algorithm, benchmark, seed)
-    order. The first failing run raises, and the runs not yet started are
-    cancelled.
+    benchmark list, a variant or a benchmark label listed twice, ``runs`` or
+    ``parallelism`` not an integer >= 1, or ``base_seed`` not an integer >= 0
+    raises InvalidConfig. Each cell uses seeds base_seed .. base_seed+runs-1.
+    Records reach ``record_sink`` one at a time, which lets callers persist
+    partial results; both the sink and the returned list see them in
+    canonical (algorithm, benchmark, seed) order. The first failing run
+    raises, and the runs not yet started are cancelled.
     """
     configs = [
         default_config(algo, max_fes) if isinstance(algo, (Variant, str)) else algo
@@ -120,9 +121,10 @@ def run_experiment(algorithms, benchmarks, runs, max_fes, base_seed,
     ]
     for config in configs:
         validate_config(config)
-    for name, value in (("runs", runs), ("parallelism", parallelism)):
-        if value < 1:
-            raise InvalidConfig(f"{name} must be >= 1, got {value}")
+    for name, value, least in (("runs", runs, 1), ("parallelism", parallelism, 1),
+                               ("base_seed", base_seed, 0)):
+        if not _is_count(value, least):
+            raise InvalidConfig(f"{name} must be an integer >= {least}, got {value!r}")
     for kind, labels in (("algorithm", [config.variant.value for config in configs]),
                          ("benchmark", [inst.label for inst in benchmarks])):
         if not labels:
@@ -131,7 +133,7 @@ def run_experiment(algorithms, benchmarks, runs, max_fes, base_seed,
         if repeated:
             raise InvalidConfig(f"{kind} listed more than once: {', '.join(repeated)}")
     tasks = [
-        (config.variant, config, instance, base_seed + run)
+        (config.variant, config, instance, int(base_seed) + run)
         for config in configs
         for instance in benchmarks
         for run in range(runs)

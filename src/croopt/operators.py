@@ -49,11 +49,7 @@ def apply_boundary(value, lower, upper, rule, rng):
 def _repair(values, lower, upper, rule, rng):
     # In-place repair of a fresh vector; violating indices fixed in ascending
     # order so the draw sequence is reproducible.
-    low = values < lower
-    high = values > upper
-    if not (low.any() or high.any()):
-        return values
-    for i in np.nonzero(low | high)[0]:
+    for i in np.flatnonzero((values < lower) | (values > upper)):
         values[i] = apply_boundary(values[i], lower[i], upper[i], rule, rng)
     return values
 
@@ -62,7 +58,9 @@ def _draw_index(n, rng):
     """A uniform index below ``n``, as ``int(rng.integers(n))`` gives it.
 
     ``integers(1)`` returns 0 without advancing the bit generator, so a
-    one-value range skips the call and keeps the stream bit for bit.
+    one-value range skips the call and keeps the stream bit for bit. ``n`` is
+    a population size or a dimension, so the call gets a Python int
+    2 <= n < 2**32: the only range ``_BitDraws.integers`` accepts.
     """
     return int(rng.integers(n)) if n > 1 else 0
 
@@ -70,7 +68,7 @@ def _draw_index(n, rng):
 class _BitDraws:
     """An exact ``np.random.Generator`` with cheaper scalar draws, same bits.
 
-    Scalar ``random()`` and ``integers(n)``, 1 <= n < 2**32, replay numpy's
+    Scalar ``random()`` and ``integers(n)``, 2 <= n < 2**32, replay numpy's
     C routines on the bit generator's public ``ctypes`` interface: the unit
     double, and Lemire's bounded-integer rejection on ``next_uint32``
     (``buffered_bounded_lemire_uint32``). Other draws are the generator's
@@ -88,11 +86,7 @@ class _BitDraws:
     def random(self, size=None):
         return self._next_double() if size is None else self._rng.random(size)
 
-    def integers(self, n, *args, **kwargs):
-        if args or kwargs or type(n) is not int or not 1 <= n < 2**32:
-            return self._rng.integers(n, *args, **kwargs)
-        if n == 1:
-            return 0
+    def integers(self, n):
         m = self._next_uint32() * n
         if m & 0xFFFFFFFF < n:
             threshold = (2**32 - n) % n

@@ -412,9 +412,11 @@ def _box(lower, upper, dimension=3):
         (_box(np.full(3, -1.0), np.array([1.0, -1.0, 1.0])), InvalidConfig),
         (_box(np.full(3, 1.0), np.full(3, -1.0)), InvalidConfig),
         (_box(np.full(3, -1e308), np.full(3, 1e308)), InvalidConfig),
+        (_box(np.full(1, -1.0), np.full(1, 1.0), dimension=True), DimensionMismatch),
     ],
     ids=["lower-length", "upper-shape", "zero-dimension", "nan-bound",
-         "infinite-bound", "empty-interval", "swapped-bounds", "width-overflow"],
+         "infinite-bound", "empty-interval", "swapped-bounds", "width-overflow",
+         "bool-dimension"],
 )
 @pytest.mark.parametrize("runner, cfg", [(run_acro, ACROConfig(max_fes=100)),
                                          (run_cro, CROConfig(max_fes=100))])

@@ -164,7 +164,7 @@ def test_instances_reject_non_finite_transform_data(bad, tmp_path):
         instance_from_cec_dir(1, dim, tmp_path)
 
 
-@pytest.mark.parametrize("dim", [0, -1])
+@pytest.mark.parametrize("dim", [0, -1, True])
 def test_instances_reject_dimensions_below_one(dim, tmp_path):
     with pytest.raises(DimensionMismatch, match="positive integer"):
         make_instance("f1", dim)
@@ -214,6 +214,9 @@ def test_parse_func_id_variants():
         parse_func_id("f25")
     with pytest.raises(FormatError):
         parse_func_id("spam")
+    for not_an_id in (True, 3.0, [1]):
+        with pytest.raises(FormatError):
+            parse_func_id(not_an_id)
 
 
 def test_objective_wrapper_counts_dimension_and_bounds():

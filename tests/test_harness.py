@@ -189,8 +189,11 @@ def test_run_experiment_wraps_failures_with_context():
 @pytest.mark.parametrize("change", [
     {"runs": 0}, {"runs": -2}, {"parallelism": 0}, {"max_fes": 5},
     {"algorithms": [ACROConfig(coll_rate=2.0)]}, {"algorithms": []}, {"benchmarks": []},
+    {"runs": 2.5}, {"runs": True}, {"parallelism": 2.5}, {"parallelism": True},
+    {"base_seed": -1}, {"base_seed": 1.5}, {"base_seed": True},
 ], ids=["runs=0", "runs=-2", "parallelism=0", "max_fes=5", "coll_rate=2",
-        "no-algorithms", "no-benchmarks"])
+        "no-algorithms", "no-benchmarks", "runs=2.5", "runs=True", "parallelism=2.5",
+        "parallelism=True", "base_seed=-1", "base_seed=1.5", "base_seed=True"])
 def test_run_experiment_rejects_a_grid_before_any_run(change):
     sink = []
     kwargs = dict(algorithms=["ACRO/BP"], benchmarks=[make_instance("f1", 10, SEED)],
@@ -199,6 +202,18 @@ def test_run_experiment_rejects_a_grid_before_any_run(change):
     with pytest.raises(InvalidConfig):
         run_experiment(**kwargs)
     assert sink == []
+
+
+def test_numpy_integer_grid_inputs_give_the_records_of_ints():
+    # numpy integers pass the integer rule, so their records must serialise.
+    inst = make_instance("f1", 5, SEED)
+    _, expected = run_experiment(["ACRO/BP"], [inst], runs=2, max_fes=100, base_seed=3)
+    _, records = run_experiment(["ACRO/BP"], [inst], runs=np.int64(2), max_fes=100,
+                                base_seed=np.int64(3), parallelism=np.int32(1))
+    assert [(r.seed, r.final_raw, r.trace) for r in records] == [
+        (r.seed, r.final_raw, r.trace) for r in expected
+    ]
+    assert [json.loads(r.to_json())["seed"] for r in records] == [3, 4]
 
 
 def test_run_experiment_streams_records_to_sink():
@@ -260,6 +275,8 @@ def test_cli_verify_benchmarks(capsys):
     assert main(["verify-benchmarks", "--dim", "10"]) == 0
     out = capsys.readouterr().out
     assert "verify-benchmarks: ok" in out
+    # make_instance rejects a non-orthogonal rotation, so no line repeats it.
+    assert not [line for line in out.splitlines() if "rotation" in line]
 
 
 def test_cli_run_writes_files(tmp_path):
@@ -283,6 +300,18 @@ def test_cli_reports_machine_readable_errors(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()[-1]
     parsed = json.loads(err)
     assert parsed["error"] == "InvalidConfig"
+    # A usage error, here a missing command, takes the same path.
+    assert main([]) == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "InvalidConfig"
+
+
+def test_cli_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--help"])
+    assert exit_info.value.code == 0
+    assert "--transform-seed" in capsys.readouterr().out
 
 
 def test_cli_reports_worker_failures_as_one_json_line(tmp_path, capfd):
@@ -365,10 +394,16 @@ def test_cli_rejects_repeated_algorithms_and_functions(tmp_path, capsys):
     ("--func", ",", "InvalidConfig"),
     ("--dim", "0", "DimensionMismatch"),
     ("--dim", "-1", "DimensionMismatch"),
+    ("--seed", "-1", "InvalidConfig"),
+    ("--dim", "abc", "InvalidConfig"),
+    ("--runs", "x", "InvalidConfig"),
+    ("--cec-data", "no-such-dir", "InvalidConfig"),
 ])
 def test_cli_rejects_a_bad_grid_before_writing(tmp_path, capsys, flag, value, error):
+    # --transform-seed is given, so --cec-data is rejected as its rival.
     args = {"--algo": "ACRO/BP", "--func": "f1", "--dim": "10", "--max-fes": "200",
-            "--runs": "2", "--out": str(tmp_path / "o"), flag: value}
+            "--runs": "2", "--transform-seed": "12345", "--out": str(tmp_path / "o"),
+            flag: value}
     code = main(["run", *(item for pair in args.items() for item in pair)])
     assert code == 1
     err_lines = capsys.readouterr().err.strip().splitlines()
