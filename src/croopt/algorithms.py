@@ -30,7 +30,6 @@ import numpy as np
 from .core import (
     Molecule,
     ReactorState,
-    _check_dimension,
     _is_count,
     evaluate_and_count,
     update_best,
@@ -132,6 +131,8 @@ def _check_count(cfg, name):
 
 
 def validate_config(cfg):
+    _check(isinstance(cfg, (ACROConfig, CROConfig)),
+           f"expected an ACROConfig or a CROConfig, got {cfg!r}")
     _check_count(cfg, "max_fes")
     _check_count(cfg, "ini_pop_size")
     _check(
@@ -158,14 +159,14 @@ def validate_config(cfg):
 def _validate_objective(spec):
     """Check the search box once per run: shapes, finiteness, lower < upper.
 
+    Both bounds share one non-empty 1-D shape, whose length is the dimension.
     The width must be finite too, as boundary repair scales a unit draw by
     it; the run's errstate keeps the overflow of that check quiet.
     """
-    dim = _check_dimension(spec.dimension)
-    for name in ("lower", "upper"):
-        shape = np.shape(getattr(spec, name))
-        if shape != (dim,):
-            raise DimensionMismatch(f"{name} has shape {shape}, expected ({dim},)")
+    shape = np.shape(spec.lower)
+    if len(shape) != 1 or not shape[0] or np.shape(spec.upper) != shape:
+        raise DimensionMismatch(f"bounds must share one non-empty 1-D shape, got "
+                                f"{shape} and {np.shape(spec.upper)}")
     lower = np.asarray(spec.lower, dtype=float)
     upper = np.asarray(spec.upper, dtype=float)
     _check(np.isfinite(lower).all() and np.isfinite(upper).all(), "bounds must be finite")
@@ -278,7 +279,7 @@ def cro_init(spec, cfg, rng):
         raise InvalidConfig("canonical runs take a CROConfig")
     state, structures, pes = _init_reactor(
         spec, cfg, rng,
-        step_size=np.full(spec.dimension, float(cfg.step_size)),
+        step_size=np.full(len(spec.lower), float(cfg.step_size)),
         buffer=float(cfg.ini_buffer),
     )
     state.population = [

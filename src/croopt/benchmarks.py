@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ObjectiveSpec, _check_dimension, _is_count
+from .core import ObjectiveSpec, _is_count
 from .errors import DimensionMismatch, FormatError
 
 DEFAULT_BOUND = 100.0
@@ -123,6 +123,13 @@ def penalized_2(z):
     return float(np.pi / z.shape[0] * (head + body + tail) + u_penalty(z, 10.0))
 
 
+def _check_dimension(dim):
+    """``dim`` as an int if it is a positive integer, else DimensionMismatch."""
+    if not _is_count(dim):
+        raise DimensionMismatch(f"dimension must be a positive integer, got {dim!r}")
+    return int(dim)
+
+
 @dataclass(frozen=True)
 class FunctionDef:
     id: int
@@ -215,6 +222,8 @@ def _random_orthogonal(dim, rng):
 
 def generate_transform(base_seed, func_id, dim):
     """Deterministic transform data for (base_seed, function, dimension)."""
+    if not _is_count(base_seed, 0):
+        raise FormatError(f"transform seed must be an integer >= 0, got {base_seed!r}")
     func_id = parse_func_id(func_id)
     fdef = _DEFS_BY_ID[func_id]
     rng = np.random.default_rng([int(base_seed), func_id, int(dim)])
@@ -233,7 +242,7 @@ def make_instance(func_id, dim, transform_seed=DEFAULT_TRANSFORM_SEED,
                   transform=None):
     """Build one benchmark instance; transform data is generated unless given."""
     func_id = parse_func_id(func_id)
-    _check_dimension(dim)
+    dim = _check_dimension(dim)
     fdef = _DEFS_BY_ID[func_id]
     if transform is None:
         transform = generate_transform(transform_seed, func_id, dim)
@@ -306,7 +315,6 @@ def optimum_residual(inst):
 def as_objective(inst):
     """Wrap an instance as the objective contract the reactor consumes."""
     return ObjectiveSpec(
-        dimension=inst.dimension,
         lower=inst.lower,
         upper=inst.upper,
         evaluate=lambda x: evaluate_benchmark(inst, x),
@@ -330,7 +338,7 @@ def _read_numbers(path, count):
 def instance_from_cec_dir(func_id, dim, data_dir):
     """Build an instance from raw files f{k}_shift.txt / f{k}_M.txt (row-major)."""
     func_id = parse_func_id(func_id)
-    _check_dimension(dim)
+    dim = _check_dimension(dim)
     fdef = _DEFS_BY_ID[func_id]
     data_dir = Path(data_dir)
     shift = np.zeros(dim)

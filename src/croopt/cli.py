@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import Variant, parse_variant
+from .algorithms import Variant, default_config, parse_variant
 from .benchmarks import (
     DEFAULT_TRANSFORM_SEED,
     FUNCTION_TABLE,
@@ -83,7 +83,7 @@ def _build_parser():
 
 
 def _cmd_run(args):
-    algorithms = _parse_algorithms(args.algo)
+    configs = [default_config(v, args.max_fes) for v in _parse_algorithms(args.algo)]
     functions = _parse_functions(args.func)
     if args.cec_data is not None:
         instances = [instance_from_cec_dir(f, args.dim, args.cec_data) for f in functions]
@@ -103,10 +103,9 @@ def _cmd_run(args):
         first = False
 
     summary, records = run_experiment(
-        algorithms,
+        configs,
         instances,
         runs=args.runs,
-        max_fes=args.max_fes,
         base_seed=args.seed,
         parallelism=args.parallel,
         record_sink=keep,

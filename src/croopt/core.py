@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteObjective
+from .errors import NonFiniteObjective
 from .operators import BoundaryRule, SynthesisRule
 
 
@@ -28,18 +28,13 @@ def _is_count(value, least=1):
     return whole and value >= least
 
 
-def _check_dimension(dim):
-    """Return ``dim`` if it is a positive integer, else raise DimensionMismatch."""
-    if not _is_count(dim):
-        raise DimensionMismatch(f"dimension must be a positive integer, got {dim!r}")
-    return dim
-
-
 @dataclass(eq=False)
 class ObjectiveSpec:
-    """A box-bounded minimization problem: bounds plus a pure evaluator."""
+    """A box-bounded minimization problem: bounds plus a pure evaluator.
 
-    dimension: int
+    The dimension is the length of the bounds.
+    """
+
     lower: np.ndarray
     upper: np.ndarray
     evaluate: Callable[[np.ndarray], float]

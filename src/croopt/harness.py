@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import Variant, default_config, run_acro, run_cro, validate_config
+from .algorithms import run_acro, run_cro, validate_config
 from .benchmarks import as_objective
 from .core import _is_count
 from .errors import EmptyCell, ExperimentError, InvalidConfig
@@ -68,15 +68,10 @@ class CellStats:
     count: int
 
 
-@dataclass
-class ExperimentSummary:
-    algorithms: list[str]
-    benchmarks: list[str]
-    cells: dict[tuple[str, str], CellStats]
-
-
 def execute_run(variant, config, instance, seed):
-    """One seeded run; the only entry point worker processes need."""
+    """One seeded run; ``variant`` must be ``config.variant``, else InvalidConfig."""
+    if variant is not config.variant:
+        raise InvalidConfig(f"{variant!r} is not the config's {config.variant.value}")
     rng = np.random.default_rng(seed)
     runner = run_acro if variant.adaptive else run_cro
     result = runner(as_objective(instance), config, rng)
@@ -93,32 +88,27 @@ def execute_run(variant, config, instance, seed):
 
 
 def _run_task(task):
-    variant, config, instance, seed = task
+    config, instance, seed = task
     try:
-        return execute_run(variant, config, instance, seed)
+        return execute_run(config.variant, config, instance, seed)
     except Exception as exc:  # re-raised with context by the caller
-        raise ExperimentError(variant.value, instance.label, seed, exc) from exc
+        raise ExperimentError(config.variant.value, instance.label, seed, exc) from exc
 
 
-def run_experiment(algorithms, benchmarks, runs, max_fes, base_seed,
-                   parallelism=1, record_sink=None):
-    """Execute runs x |algorithms| x |benchmarks| independent runs.
+def run_experiment(configs, benchmarks, runs, base_seed, parallelism=1, record_sink=None):
+    """Execute runs x |configs| x |benchmarks| independent runs.
 
-    ``algorithms`` may hold Variant members, name strings, or ready-made
-    configs; ``benchmarks`` holds BenchmarkInstance objects. The grid is
-    checked before any run starts: an invalid config, an empty algorithm or
-    benchmark list, a variant or a benchmark label listed twice, ``runs`` or
-    ``parallelism`` not an integer >= 1, or ``base_seed`` not an integer >= 0
-    raises InvalidConfig. Each cell uses seeds base_seed .. base_seed+runs-1.
-    Records reach ``record_sink`` one at a time, which lets callers persist
-    partial results; both the sink and the returned list see them in
-    canonical (algorithm, benchmark, seed) order. The first failing run
-    raises, and the runs not yet started are cancelled.
+    ``configs`` holds ACROConfig and CROConfig objects, each run for its own
+    ``max_fes``; ``benchmarks`` holds BenchmarkInstance objects. The grid is
+    checked before any run starts: an entry that is not a valid config, an
+    empty config or benchmark list, a variant or a benchmark label listed
+    twice, ``runs`` or ``parallelism`` not an integer >= 1, or ``base_seed``
+    not an integer >= 0 raises InvalidConfig. Each cell uses seeds
+    base_seed .. base_seed+runs-1. Records reach ``record_sink`` one at a
+    time, which lets callers persist partial results; both the sink and the
+    returned list see them in canonical (config, benchmark, seed) order. The
+    first failing run raises, and the runs not yet started are cancelled.
     """
-    configs = [
-        default_config(algo, max_fes) if isinstance(algo, (Variant, str)) else algo
-        for algo in algorithms
-    ]
     for config in configs:
         validate_config(config)
     for name, value, least in (("runs", runs, 1), ("parallelism", parallelism, 1),
@@ -133,7 +123,7 @@ def run_experiment(algorithms, benchmarks, runs, max_fes, base_seed,
         if repeated:
             raise InvalidConfig(f"{kind} listed more than once: {', '.join(repeated)}")
     tasks = [
-        (config.variant, config, instance, int(base_seed) + run)
+        (config, instance, int(base_seed) + run)
         for config in configs
         for instance in benchmarks
         for run in range(runs)
@@ -151,20 +141,16 @@ def run_experiment(algorithms, benchmarks, runs, max_fes, base_seed,
 
 
 def summarize(records):
-    """Mean/median/std/min/max of reported finals per (algorithm, benchmark).
+    """Mean/median/std/min/max/count of reported finals per (algorithm, benchmark).
 
-    The standard deviation is the population form (denominator n) so that
-    cross-implementation comparisons are unambiguous.
+    Returns ``{(algorithm, benchmark): CellStats}`` in the order the records
+    first name each pair. The standard deviation is the population form
+    (denominator n) so that cross-implementation comparisons are unambiguous.
     """
     if not records:
         raise EmptyCell("no run records to summarize")
-    algorithms, benchmarks = [], []
     grouped = {}
     for record in records:
-        if record.algorithm not in algorithms:
-            algorithms.append(record.algorithm)
-        if record.benchmark not in benchmarks:
-            benchmarks.append(record.benchmark)
         grouped.setdefault((record.algorithm, record.benchmark), []).append(
             record.final_reported
         )
@@ -179,15 +165,18 @@ def summarize(records):
             maximum=float(data.max()),
             count=len(values),
         )
-    return ExperimentSummary(algorithms=algorithms, benchmarks=benchmarks, cells=cells)
+    return cells
 
 
 def render_summary_csv(summary):
-    lines = ["benchmark," + ",".join(summary.algorithms)]
-    for benchmark in summary.benchmarks:
+    """One row per benchmark, one column per algorithm, in the cells' order."""
+    algorithms = dict.fromkeys(algorithm for algorithm, _ in summary)
+    benchmarks = dict.fromkeys(benchmark for _, benchmark in summary)
+    lines = ["benchmark," + ",".join(algorithms)]
+    for benchmark in benchmarks:
         cells = []
-        for algorithm in summary.algorithms:
-            stats = summary.cells.get((algorithm, benchmark))
+        for algorithm in algorithms:
+            stats = summary.get((algorithm, benchmark))
             cells.append("" if stats is None else f"{stats.mean:.4e}")
         lines.append(f"{benchmark}," + ",".join(cells))
     return "\n".join(lines) + "\n"

@@ -30,7 +30,6 @@ class ReactionKind(Enum):
 
 @dataclass
 class ReactionOutcome:
-    kind: ReactionKind
     success: bool
     #: Every trial structure evaluated by the reaction, with its PE, in
     #: generation order. Used by the run loop for best-ever tracking.
@@ -63,7 +62,7 @@ def on_wall_collision(state, spec, index, rng):
         q = mol.loss_rate + (1.0 - mol.loss_rate) * rng.random()
         state.buffer += excess * (1.0 - q)
         mol.accept(trial, trial_pe, excess * q)
-    return ReactionOutcome(ReactionKind.ON_WALL, success, [(trial, trial_pe)])
+    return ReactionOutcome(success, [(trial, trial_pe)])
 
 
 def decomposition(state, spec, index, rng):
@@ -95,7 +94,7 @@ def decomposition(state, spec, index, rng):
             surplus = 0.0
             success = True
     if not success:
-        return ReactionOutcome(ReactionKind.DECOMPOSITION, False, [(c1, pe1), (c2, pe2)])
+        return ReactionOutcome(False, [(c1, pe1), (c2, pe2)])
     share = rng.random()
     child1 = Molecule.fresh(c1, pe1, surplus * share, _child_loss_rate(state, mol, rng))
     child2 = Molecule.fresh(
@@ -104,7 +103,7 @@ def decomposition(state, spec, index, rng):
     del state.population[index]
     state.population.append(child1)
     state.population.append(child2)
-    return ReactionOutcome(ReactionKind.DECOMPOSITION, True, [(c1, pe1), (c2, pe2)])
+    return ReactionOutcome(True, [(c1, pe1), (c2, pe2)])
 
 
 def intermolecular_collision(state, spec, i, j, rng):
@@ -132,7 +131,7 @@ def intermolecular_collision(state, spec, i, j, rng):
         k = rng.random()
         m1.accept(t1, pe1, pool * k)
         m2.accept(t2, pe2, pool * (1.0 - k))
-    return ReactionOutcome(ReactionKind.INTER_MOLECULAR, success, [(t1, pe1), (t2, pe2)])
+    return ReactionOutcome(success, [(t1, pe1), (t2, pe2)])
 
 
 def synthesis(state, spec, i, j, rng):
@@ -162,4 +161,4 @@ def synthesis(state, spec, i, j, rng):
         for index in sorted((i, j), reverse=True):
             del state.population[index]
         state.population.append(child)
-    return ReactionOutcome(ReactionKind.SYNTHESIS, success, [(trial, trial_pe)])
+    return ReactionOutcome(success, [(trial, trial_pe)])

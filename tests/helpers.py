@@ -45,18 +45,18 @@ def box_bounds(dim, bound=100.0):
 
 def const_objective(dim, value, bound=100.0):
     lower, upper = box_bounds(dim, bound)
-    return ObjectiveSpec(dim, lower, upper, lambda x: float(value))
+    return ObjectiveSpec(lower, upper, lambda x: float(value))
 
 
 def queue_objective(dim, values, bound=100.0):
     vals = [float(v) for v in values]
     lower, upper = box_bounds(dim, bound)
-    return ObjectiveSpec(dim, lower, upper, lambda x: vals.pop(0))
+    return ObjectiveSpec(lower, upper, lambda x: vals.pop(0))
 
 
 def sphere_objective(dim, bound=100.0):
     lower, upper = box_bounds(dim, bound)
-    return ObjectiveSpec(dim, lower, upper, lambda x: float(x @ x))
+    return ObjectiveSpec(lower, upper, lambda x: float(x @ x))
 
 
 def make_state(molecules, *, buffer=0.0, dim=None, step=1.0,

@@ -48,17 +48,15 @@ def _report(criterion, ok, detail):
 def protocol_records():
     instances = [make_instance(fid, 30) for fid in ("f1", "f2", "f19")]
     _, adaptive = run_experiment(
-        ["ACRO/BP", "ACRO/HP", "ACRO/BB"],
+        [default_config(name, BUDGET) for name in ("ACRO/BP", "ACRO/HP", "ACRO/BB")],
         instances,
         runs=RUNS,
-        max_fes=BUDGET,
         base_seed=BASE_SEED,
     )
     _, canonical = run_experiment(
-        ["CRO/BP"],
+        [default_config("CRO/BP", BUDGET)],
         [make_instance("f1", 30)],
         runs=RUNS,
-        max_fes=BUDGET,
         base_seed=BASE_SEED,
     )
     return adaptive + canonical

@@ -361,8 +361,7 @@ def test_replayed_draws_give_the_runs_of_generator_methods(variant):
 
 def test_list_bounds_give_the_run_of_array_bounds():
     spec = as_objective(make_instance("f16", 10))
-    listed = ObjectiveSpec(spec.dimension, spec.lower.tolist(), spec.upper.tolist(),
-                           spec.evaluate)
+    listed = ObjectiveSpec(spec.lower.tolist(), spec.upper.tolist(), spec.evaluate)
     cfg = ACROConfig(variant=Variant.ACRO_HP, change_rate=0.05, max_fes=3_000)
     a = run_acro(spec, cfg, np.random.default_rng(3))
     b = run_acro(listed, cfg, np.random.default_rng(3))
@@ -397,8 +396,8 @@ def test_population_stays_near_initial_size():
     assert 1 <= min(sizes) and max(sizes) <= 3 * cfg.ini_pop_size
 
 
-def _box(lower, upper, dimension=3):
-    return ObjectiveSpec(dimension, lower, upper, lambda x: float(x @ x))
+def _box(lower, upper):
+    return ObjectiveSpec(lower, upper, lambda x: float(x @ x))
 
 
 @pytest.mark.parametrize(
@@ -406,17 +405,17 @@ def _box(lower, upper, dimension=3):
     [
         (_box(np.full(2, -1.0), np.full(3, 1.0)), DimensionMismatch),
         (_box(np.full(3, -1.0), np.full((3, 1), 1.0)), DimensionMismatch),
-        (_box(np.full(3, -1.0), np.full(3, 1.0), dimension=0), DimensionMismatch),
+        (_box(np.zeros(0), np.zeros(0)), DimensionMismatch),
         (_box(np.array([-1.0, np.nan, -1.0]), np.full(3, 1.0)), InvalidConfig),
         (_box(np.full(3, -1.0), np.array([1.0, 1.0, np.inf])), InvalidConfig),
         (_box(np.full(3, -1.0), np.array([1.0, -1.0, 1.0])), InvalidConfig),
         (_box(np.full(3, 1.0), np.full(3, -1.0)), InvalidConfig),
         (_box(np.full(3, -1e308), np.full(3, 1e308)), InvalidConfig),
-        (_box(np.full(1, -1.0), np.full(1, 1.0), dimension=True), DimensionMismatch),
+        (_box(np.full((2, 3), -1.0), np.full((2, 3), 1.0)), DimensionMismatch),
     ],
     ids=["lower-length", "upper-shape", "zero-dimension", "nan-bound",
          "infinite-bound", "empty-interval", "swapped-bounds", "width-overflow",
-         "bool-dimension"],
+         "2d-bounds"],
 )
 @pytest.mark.parametrize("runner, cfg", [(run_acro, ACROConfig(max_fes=100)),
                                          (run_cro, CROConfig(max_fes=100))])

@@ -172,6 +172,12 @@ def test_instances_reject_dimensions_below_one(dim, tmp_path):
         instance_from_cec_dir(3, dim, tmp_path)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "7", -1])
+def test_instances_reject_transform_seeds_off_the_integer_rule(seed):
+    with pytest.raises(FormatError, match="transform seed"):
+        make_instance("f1", 3, transform_seed=seed)
+
+
 def test_cec_instance_import(tmp_path):
     dim = 8
     shift = np.linspace(-10, 10, dim)
@@ -222,7 +228,7 @@ def test_parse_func_id_variants():
 def test_objective_wrapper_counts_dimension_and_bounds():
     inst = make_instance("f4", 12, SEED)
     spec = as_objective(inst)
-    assert spec.dimension == 12
+    assert len(spec.lower) == 12
     assert np.all(spec.lower == -100.0) and np.all(spec.upper == 100.0)
     x = np.zeros(12)
     z = (x - inst.transform.shift) * inst.transform.scale

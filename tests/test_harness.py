@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import croopt
-from croopt.algorithms import ACROConfig, Variant
+from croopt.algorithms import ACROConfig, Variant, default_config
 from croopt.benchmarks import TransformData, make_instance
 from croopt.cli import main
 from croopt.errors import EmptyCell, ExperimentError, InvalidConfig, NonFiniteObjective
@@ -60,12 +60,12 @@ def test_truncation_rule():
 def test_summarize_truncates_then_averages():
     records = [record(v, seed=i) for i, v in enumerate((0.0, 0.0, 3e-9))]
     summary = summarize(records)
-    assert summary.cells[("ACRO/BP", "f1")].mean == 0.0
+    assert summary[("ACRO/BP", "f1")].mean == 0.0
 
 
 def test_summarize_basic_statistics():
     records = [record(v, seed=i) for i, v in enumerate((1.0, 2.0, 3.0))]
-    stats = summarize(records).cells[("ACRO/BP", "f1")]
+    stats = summarize(records)[("ACRO/BP", "f1")]
     assert stats.mean == 2.0
     assert stats.median == 2.0
     assert stats.minimum == 1.0
@@ -75,10 +75,10 @@ def test_summarize_basic_statistics():
 
 def test_summarize_population_std():
     records = [record(2.0, seed=i) for i in range(3)]
-    assert summarize(records).cells[("ACRO/BP", "f1")].std == 0.0
+    assert summarize(records)[("ACRO/BP", "f1")].std == 0.0
     records = [record(v, seed=i) for i, v in enumerate((1.0, 3.0))]
     # population std (denominator n): sqrt(mean((x - mean)^2)) = 1
-    assert summarize(records).cells[("ACRO/BP", "f1")].std == 1.0
+    assert summarize(records)[("ACRO/BP", "f1")].std == 1.0
 
 
 def test_summarize_empty_raises():
@@ -122,7 +122,7 @@ def test_emit_results_refuses_empty(tmp_path):
 def test_run_experiment_degenerate_budget_returns_initial_best():
     inst = make_instance("f1", 10, SEED)
     summary, records = run_experiment(
-        ["ACRO/BP"], [inst], runs=1, max_fes=20, base_seed=5
+        [default_config("ACRO/BP", 20)], [inst], runs=1, base_seed=5
     )
     assert len(records) == 1
     rec = records[0]
@@ -133,18 +133,15 @@ def test_run_experiment_degenerate_budget_returns_initial_best():
         for _ in range(20)
     )
     assert rec.final_raw == pytest.approx(best, rel=1e-12)
-    assert summary.cells[("ACRO/BP", "f1")].mean == rec.final_reported
+    assert summary[("ACRO/BP", "f1")].mean == rec.final_reported
 
 
 def test_run_experiment_is_parallelism_invariant():
     instances = [make_instance("f1", 10, SEED)]
-    kwargs = dict(runs=2, max_fes=2_000, base_seed=3)
-    summary1, records1 = run_experiment(
-        ["ACRO/BP", "CRO/BP"], instances, parallelism=1, **kwargs
-    )
-    summary2, records2 = run_experiment(
-        ["ACRO/BP", "CRO/BP"], instances, parallelism=2, **kwargs
-    )
+    configs = [default_config(name, 2_000) for name in ("ACRO/BP", "CRO/BP")]
+    kwargs = dict(runs=2, base_seed=3)
+    summary1, records1 = run_experiment(configs, instances, parallelism=1, **kwargs)
+    summary2, records2 = run_experiment(configs, instances, parallelism=2, **kwargs)
     assert render_summary_csv(summary1) == render_summary_csv(summary2)
     for a, b in zip(records1, records2):
         assert (a.algorithm, a.benchmark, a.seed) == (b.algorithm, b.benchmark, b.seed)
@@ -155,7 +152,8 @@ def test_run_experiment_is_parallelism_invariant():
 def test_run_experiment_orders_records_canonically():
     instances = [make_instance("f2", 10, SEED), make_instance("f1", 10, SEED)]
     _, records = run_experiment(
-        ["CRO/BP", "ACRO/BP"], instances, runs=2, max_fes=500, base_seed=0
+        [default_config(name, 500) for name in ("CRO/BP", "ACRO/BP")], instances,
+        runs=2, base_seed=0,
     )
     keys = [(r.algorithm, r.benchmark, r.seed) for r in records]
     assert keys == [
@@ -176,7 +174,7 @@ def test_run_experiment_wraps_failures_with_context():
             warnings.simplefilter("always")
             with pytest.raises(ExperimentError) as err:
                 run_experiment(
-                    ["ACRO/BP"], [inst], runs=1, max_fes=500, base_seed=9,
+                    [default_config("ACRO/BP", 500)], [inst], runs=1, base_seed=9,
                     parallelism=parallelism,
                 )
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
@@ -187,17 +185,21 @@ def test_run_experiment_wraps_failures_with_context():
 
 
 @pytest.mark.parametrize("change", [
-    {"runs": 0}, {"runs": -2}, {"parallelism": 0}, {"max_fes": 5},
-    {"algorithms": [ACROConfig(coll_rate=2.0)]}, {"algorithms": []}, {"benchmarks": []},
+    {"runs": 0}, {"runs": -2}, {"parallelism": 0},
+    {"configs": [default_config("ACRO/BP", 5)]}, {"configs": [ACROConfig(coll_rate=2.0)]},
+    {"configs": []}, {"benchmarks": []},
     {"runs": 2.5}, {"runs": True}, {"parallelism": 2.5}, {"parallelism": True},
     {"base_seed": -1}, {"base_seed": 1.5}, {"base_seed": True},
+    {"configs": ["ACRO/BP"]}, {"configs": [Variant.ACRO_BP]},
 ], ids=["runs=0", "runs=-2", "parallelism=0", "max_fes=5", "coll_rate=2",
         "no-algorithms", "no-benchmarks", "runs=2.5", "runs=True", "parallelism=2.5",
-        "parallelism=True", "base_seed=-1", "base_seed=1.5", "base_seed=True"])
+        "parallelism=True", "base_seed=-1", "base_seed=1.5", "base_seed=True",
+        "name-entry", "variant-entry"])
 def test_run_experiment_rejects_a_grid_before_any_run(change):
     sink = []
-    kwargs = dict(algorithms=["ACRO/BP"], benchmarks=[make_instance("f1", 10, SEED)],
-                  runs=2, max_fes=200, base_seed=0, parallelism=1, record_sink=sink.append)
+    kwargs = dict(configs=[default_config("ACRO/BP", 200)],
+                  benchmarks=[make_instance("f1", 10, SEED)],
+                  runs=2, base_seed=0, parallelism=1, record_sink=sink.append)
     kwargs.update(change)
     with pytest.raises(InvalidConfig):
         run_experiment(**kwargs)
@@ -206,14 +208,32 @@ def test_run_experiment_rejects_a_grid_before_any_run(change):
 
 def test_numpy_integer_grid_inputs_give_the_records_of_ints():
     # numpy integers pass the integer rule, so their records must serialise.
-    inst = make_instance("f1", 5, SEED)
-    _, expected = run_experiment(["ACRO/BP"], [inst], runs=2, max_fes=100, base_seed=3)
-    _, records = run_experiment(["ACRO/BP"], [inst], runs=np.int64(2), max_fes=100,
-                                base_seed=np.int64(3), parallelism=np.int32(1))
+    configs = [default_config("ACRO/BP", 100)]
+    _, expected = run_experiment(configs, [make_instance("f1", 5, SEED)], runs=2,
+                                 base_seed=3)
+    _, records = run_experiment(configs, [make_instance("f1", np.int64(5), SEED)],
+                                runs=np.int64(2), base_seed=np.int64(3),
+                                parallelism=np.int32(1))
     assert [(r.seed, r.final_raw, r.trace) for r in records] == [
         (r.seed, r.final_raw, r.trace) for r in expected
     ]
     assert [json.loads(r.to_json())["seed"] for r in records] == [3, 4]
+    assert [json.loads(r.to_json())["dimension"] for r in records] == [5, 5]
+
+
+def test_each_config_runs_for_its_own_budget():
+    configs = [default_config("ACRO/BP", 300), default_config("CRO/BP", 500)]
+    _, records = run_experiment(configs, [make_instance("f1", 5, SEED)], runs=1,
+                                base_seed=0)
+    assert [(r.algorithm, r.trace[-1][0]) for r in records] == [
+        ("ACRO/BP", 300), ("CRO/BP", 500)
+    ]
+
+
+def test_execute_run_rejects_a_variant_the_config_does_not_name():
+    inst = make_instance("f1", 5, SEED)
+    with pytest.raises(InvalidConfig):
+        execute_run(Variant.ACRO_HP, ACROConfig(max_fes=200), inst, 0)
 
 
 def test_run_experiment_streams_records_to_sink():
@@ -223,8 +243,8 @@ def test_run_experiment_streams_records_to_sink():
     for parallelism in (1, 2):
         seen = []
         _, records = run_experiment(
-            ["ACRO/BP", "CRO/BP"], [inst], runs=3, max_fes=300, base_seed=0,
-            parallelism=parallelism, record_sink=seen.append,
+            [default_config(name, 300) for name in ("ACRO/BP", "CRO/BP")], [inst],
+            runs=3, base_seed=0, parallelism=parallelism, record_sink=seen.append,
         )
         assert seen == records
         assert [(r.algorithm, r.seed) for r in seen] == [
@@ -246,8 +266,7 @@ def test_run_experiment_cancels_queued_runs_after_a_failure():
     started = time.perf_counter()
     with pytest.raises(ExperimentError) as err:
         run_experiment(
-            [good], [overflow_instance("f2"), inst], runs=30, max_fes=0, base_seed=0,
-            parallelism=2,
+            [good], [overflow_instance("f2"), inst], runs=30, base_seed=0, parallelism=2,
         )
     elapsed = time.perf_counter() - started
     assert err.value.benchmark == "f2"
@@ -256,7 +275,8 @@ def test_run_experiment_cancels_queued_runs_after_a_failure():
 
 def test_traces_are_nonincreasing():
     inst = make_instance("f15", 10, SEED)
-    _, records = run_experiment(["ACRO/BP"], [inst], runs=1, max_fes=3_000, base_seed=1)
+    _, records = run_experiment([default_config("ACRO/BP", 3_000)], [inst], runs=1,
+                                base_seed=1)
     values = [best for _, best in records[0].trace]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -398,6 +418,7 @@ def test_cli_rejects_repeated_algorithms_and_functions(tmp_path, capsys):
     ("--dim", "abc", "InvalidConfig"),
     ("--runs", "x", "InvalidConfig"),
     ("--cec-data", "no-such-dir", "InvalidConfig"),
+    ("--transform-seed", "-1", "FormatError"),
 ])
 def test_cli_rejects_a_bad_grid_before_writing(tmp_path, capsys, flag, value, error):
     # --transform-seed is given, so --cec-data is rejected as its rival.

@@ -257,7 +257,7 @@ def test_population_delta_contract():
     # below zero (a child could never cost more than two nonnegative parents),
     # so every reaction kind also fails and all eight pairs are covered.
     lower, upper = box_bounds(3)
-    spec = ObjectiveSpec(3, lower, upper, lambda x: float(x @ x) - 100.0)
+    spec = ObjectiveSpec(lower, upper, lambda x: float(x @ x) - 100.0)
     rng = np.random.default_rng(18)
     seen = set()
     for _ in range(500):
@@ -269,16 +269,16 @@ def test_population_delta_contract():
             m.pe = spec.evaluate(m.structure)
         state = make_state(mols, buffer=rng.uniform(0, 100))
         size = len(state.population)
-        kind = rng.choice(len(ReactionKind))
-        if kind == 0:
+        kind = list(ReactionKind)[rng.choice(len(ReactionKind))]
+        if kind is ReactionKind.ON_WALL:
             outcome = on_wall_collision(state, spec, 0, rng)
-        elif kind == 1:
+        elif kind is ReactionKind.DECOMPOSITION:
             outcome = decomposition(state, spec, 0, rng)
-        elif kind == 2:
+        elif kind is ReactionKind.INTER_MOLECULAR:
             outcome = intermolecular_collision(state, spec, 0, 1, rng)
         else:
             outcome = synthesis(state, spec, 0, 1, rng)
-        key = (outcome.kind, outcome.success)
+        key = (kind, outcome.success)
         assert len(state.population) - size == POPULATION_CHANGE[key], key
         seen.add(key)
     assert seen == set(POPULATION_CHANGE)
