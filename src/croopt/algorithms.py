@@ -31,13 +31,13 @@ from .core import (
     Molecule,
     ReactorState,
     _is_count,
+    _is_real,
     evaluate_and_count,
     update_best,
 )
 from .errors import DimensionMismatch, InvalidConfig
 from .operators import BoundaryRule, SynthesisRule, _BitDraws, _draw_index
 from .reactions import (
-    ReactionKind,
     decomposition,
     intermolecular_collision,
     on_wall_collision,
@@ -130,30 +130,37 @@ def _check_count(cfg, name):
     _check(_is_count(value), f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _check_real(cfg, name, holds, rule):
+    value = getattr(cfg, name)
+    _check(_is_real(value) and holds(value), f"{name} must {rule}, got {value!r}")
+
+
 def validate_config(cfg):
+    """InvalidConfig unless every field the variant reads has its type and range."""
     _check(isinstance(cfg, (ACROConfig, CROConfig)),
            f"expected an ACROConfig or a CROConfig, got {cfg!r}")
+    _check(isinstance(cfg.variant, Variant), f"variant must be a Variant, got {cfg.variant!r}")
     _check_count(cfg, "max_fes")
     _check_count(cfg, "ini_pop_size")
     _check(
         cfg.max_fes >= cfg.ini_pop_size,
         "max_fes cannot even evaluate the initial population",
     )
-    _check(0.0 <= cfg.coll_rate <= 1.0, "coll_rate must lie in [0, 1]")
+    _check_real(cfg, "coll_rate", lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
     if isinstance(cfg, ACROConfig):
         _check(cfg.variant.adaptive, f"{cfg.variant.value} is not an adaptive variant")
-        _check(0.0 <= cfg.change_rate <= 1.0, "change_rate must lie in [0, 1]")
+        _check_real(cfg, "change_rate", lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
         return
     _check(not cfg.variant.adaptive, f"{cfg.variant.value} is an adaptive variant")
-    _check(0.0 <= cfg.ini_ke < math.inf, "ini_ke must be finite and >= 0")
-    _check(0.0 <= cfg.ini_buffer < math.inf, "ini_buffer must be finite and >= 0")
-    _check(0.0 <= cfg.loss_rate <= 1.0, "loss_rate must lie in [0, 1]")
-    _check(cfg.dec_thres >= 0.0, "dec_thres must be >= 0")
-    _check(cfg.syn_thres >= 0.0, "syn_thres must be >= 0")
-    _check(cfg.step_size > 0.0, "step_size must be positive")
+    _check_real(cfg, "ini_ke", lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
+    _check_real(cfg, "ini_buffer", lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
+    _check_real(cfg, "loss_rate", lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+    _check_real(cfg, "dec_thres", lambda v: v >= 0.0, "be >= 0")
+    _check_real(cfg, "syn_thres", lambda v: v >= 0.0, "be >= 0")
+    _check_real(cfg, "step_size", lambda v: 0.0 < v < math.inf, "be finite and positive")
     if cfg.variant is Variant.CRO_D:
         _check_count(cfg, "adapt_interval")
-        _check(0.0 < cfg.adapt_rate < 1.0, "adapt_rate must lie in (0, 1)")
+        _check_real(cfg, "adapt_rate", lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
 
 
 def _validate_objective(spec):
@@ -210,24 +217,25 @@ def draw_loss_rate(rng):
 
 
 def select_reaction_acro(state, cfg, rng):
-    """Pick the next elementary reaction for an adaptive run.
+    """Pick the next elementary reaction function for an adaptive run.
 
     A first draw against change_rate chooses between variable- and
     constant-population reactions. In the variable branch a lone molecule
     can only decompose; otherwise the population feedback decides between
     decomposition and synthesis. In the constant branch coll_rate is the
-    probability of an inter-molecular collision (given a pair exists).
+    probability of an inter-molecular collision (given a pair exists). The
+    function returned is the one this module names at call time.
     """
     if rng.random() < cfg.change_rate:
         if len(state.population) < 2:
-            return ReactionKind.DECOMPOSITION
+            return decomposition
         f_pop = (len(state.population) - cfg.ini_pop_size) / cfg.ini_pop_size
         if rng.random() < 0.5 * (1.0 - f_pop):
-            return ReactionKind.DECOMPOSITION
-        return ReactionKind.SYNTHESIS
+            return decomposition
+        return synthesis
     if rng.random() < cfg.coll_rate and len(state.population) >= 2:
-        return ReactionKind.INTER_MOLECULAR
-    return ReactionKind.ON_WALL
+        return intermolecular_collision
+    return on_wall_collision
 
 
 def _init_reactor(spec, cfg, rng, **fields):
@@ -315,15 +323,11 @@ def _pick_pair(state, rng):
 
 def _react_acro(state, spec, cfg, rng):
     """ACRO: the feedback scheme picks the reaction, then its molecules."""
-    kind = select_reaction_acro(state, cfg, rng)
-    if kind is ReactionKind.ON_WALL:
-        return on_wall_collision(state, spec, _pick_one(state, rng), rng)
-    if kind is ReactionKind.DECOMPOSITION:
-        return decomposition(state, spec, _pick_one(state, rng), rng)
+    reaction = select_reaction_acro(state, cfg, rng)
+    if reaction is on_wall_collision or reaction is decomposition:
+        return reaction(state, spec, _pick_one(state, rng), rng)
     i, j = _pick_pair(state, rng)
-    if kind is ReactionKind.INTER_MOLECULAR:
-        return intermolecular_collision(state, spec, i, j, rng)
-    return synthesis(state, spec, i, j, rng)
+    return reaction(state, spec, i, j, rng)
 
 
 def _react_cro(state, spec, cfg, rng):

@@ -246,6 +246,9 @@ def make_instance(func_id, dim, transform_seed=DEFAULT_TRANSFORM_SEED,
     fdef = _DEFS_BY_ID[func_id]
     if transform is None:
         transform = generate_transform(transform_seed, func_id, dim)
+    if not all(isinstance(a, np.ndarray) and a.dtype.kind in "fiu"
+               for a in (transform.shift, transform.rotation)):
+        raise FormatError(f"transform data for f{func_id} must be real numpy arrays")
     if transform.shift.shape != (dim,):
         raise DimensionMismatch(
             f"shift has length {transform.shift.shape[0]}, expected {dim}"
@@ -305,11 +308,6 @@ def optimal_point(inst):
     if inst.shifted:
         point = point + inst.transform.shift
     return point
-
-
-def optimum_residual(inst):
-    """Objective value at the constructed optimum; near zero when healthy."""
-    return evaluate_benchmark(inst, optimal_point(inst))
 
 
 def as_objective(inst):

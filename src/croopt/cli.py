@@ -13,14 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import Variant, default_config, parse_variant
+from .algorithms import Variant, default_config
 from .benchmarks import (
     DEFAULT_TRANSFORM_SEED,
     FUNCTION_TABLE,
+    evaluate_benchmark,
     instance_from_cec_dir,
     make_instance,
     optimal_point,
-    optimum_residual,
     schwefel_2_26,
     u_penalty,
 )
@@ -33,15 +33,9 @@ GOLDEN_TOL = 1e-6
 GOLDEN_TOL_SCHWEFEL226 = 1e-3
 
 
-def _parse_algorithms(text):
+def _grid_list(text, every):
     if text.strip().lower() == "all":
-        return list(Variant)
-    return [parse_variant(token) for token in text.split(",") if token.strip()]
-
-
-def _parse_functions(text):
-    if text.strip().lower() == "all":
-        return [f"f{d.id}" for d in FUNCTION_TABLE]
+        return list(every)
     return [token.strip() for token in text.split(",") if token.strip()]
 
 
@@ -83,8 +77,8 @@ def _build_parser():
 
 
 def _cmd_run(args):
-    configs = [default_config(v, args.max_fes) for v in _parse_algorithms(args.algo)]
-    functions = _parse_functions(args.func)
+    configs = [default_config(v, args.max_fes) for v in _grid_list(args.algo, Variant)]
+    functions = _grid_list(args.func, (d.id for d in FUNCTION_TABLE))
     if args.cec_data is not None:
         instances = [instance_from_cec_dir(f, args.dim, args.cec_data) for f in functions]
     else:
@@ -127,7 +121,7 @@ def _cmd_verify(args):
     for fdef in FUNCTION_TABLE:
         inst = make_instance(fdef.id, args.dim, args.transform_seed)
         tol = GOLDEN_TOL_SCHWEFEL226 if fdef.base is schwefel_2_26 else GOLDEN_TOL
-        residual = optimum_residual(inst)
+        residual = evaluate_benchmark(inst, optimal_point(inst))
         all_ok &= _verify_line(
             inst.label, abs(residual) < tol, f"optimum residual {residual:.3e}"
         )

@@ -28,6 +28,11 @@ def _is_count(value, least=1):
     return whole and value >= least
 
 
+def _is_real(value):
+    """The package's real-number input rule: an int, a float or a numpy real, no bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(eq=False)
 class ObjectiveSpec:
     """A box-bounded minimization problem: bounds plus a pure evaluator.

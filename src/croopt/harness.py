@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import run_acro, run_cro, validate_config
-from .benchmarks import as_objective
+from .benchmarks import BenchmarkInstance, as_objective
 from .core import _is_count
 from .errors import EmptyCell, ExperimentError, InvalidConfig
 
@@ -100,17 +100,21 @@ def run_experiment(configs, benchmarks, runs, base_seed, parallelism=1, record_s
 
     ``configs`` holds ACROConfig and CROConfig objects, each run for its own
     ``max_fes``; ``benchmarks`` holds BenchmarkInstance objects. The grid is
-    checked before any run starts: an entry that is not a valid config, an
-    empty config or benchmark list, a variant or a benchmark label listed
-    twice, ``runs`` or ``parallelism`` not an integer >= 1, or ``base_seed``
-    not an integer >= 0 raises InvalidConfig. Each cell uses seeds
-    base_seed .. base_seed+runs-1. Records reach ``record_sink`` one at a
-    time, which lets callers persist partial results; both the sink and the
-    returned list see them in canonical (config, benchmark, seed) order. The
-    first failing run raises, and the runs not yet started are cancelled.
+    checked before any run starts: an entry that is not a valid config or
+    not a BenchmarkInstance, an empty config or benchmark list, a variant or
+    a benchmark label listed twice, ``runs`` or ``parallelism`` not an
+    integer >= 1, or ``base_seed`` not an integer >= 0 raises InvalidConfig.
+    Each cell uses seeds base_seed .. base_seed+runs-1. Records reach
+    ``record_sink`` one at a time, which lets callers persist partial
+    results; both the sink and the returned list see them in canonical
+    (config, benchmark, seed) order. The first failing run raises, and the
+    runs not yet started are cancelled.
     """
     for config in configs:
         validate_config(config)
+    for instance in benchmarks:
+        if not isinstance(instance, BenchmarkInstance):
+            raise InvalidConfig(f"expected a BenchmarkInstance, got {instance!r}")
     for name, value, least in (("runs", runs, 1), ("parallelism", parallelism, 1),
                                ("base_seed", base_seed, 0)):
         if not _is_count(value, least):

@@ -13,19 +13,11 @@ evaluations and to hand it in-range indices, two distinct ones for a pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .core import Molecule, evaluate_and_count
 from .operators import decompose_structure, neighborhood_search, synthesize_structure
-
-
-class ReactionKind(Enum):
-    ON_WALL = "on-wall"
-    DECOMPOSITION = "decomposition"
-    INTER_MOLECULAR = "inter-molecular"
-    SYNTHESIS = "synthesis"
 
 
 @dataclass

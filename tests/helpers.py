@@ -9,12 +9,15 @@ from croopt.benchmarks import griewank, schwefel_1_2, sphere
 from croopt.core import Molecule, ObjectiveSpec, ReactorState, total_energy, update_best
 from croopt.operators import BoundaryRule, SynthesisRule
 from croopt.reactions import (
-    ReactionKind,
     decomposition,
     intermolecular_collision,
     on_wall_collision,
     synthesis,
 )
+
+#: The four reactions, and the two of them that take a pair of molecules.
+REACTIONS = (on_wall_collision, decomposition, intermolecular_collision, synthesis)
+PAIR_REACTIONS = (intermolecular_collision, synthesis)
 
 
 class ScriptedRNG:
@@ -125,14 +128,8 @@ def conservation_trial(kind, rng):
         child_loss_rate=draw_loss_rate,
     )
     before = total_energy(state)
-    if kind is ReactionKind.ON_WALL:
-        outcome = on_wall_collision(state, spec, 0, rng)
-    elif kind is ReactionKind.DECOMPOSITION:
-        outcome = decomposition(state, spec, 0, rng)
-    elif kind is ReactionKind.INTER_MOLECULAR:
-        outcome = intermolecular_collision(state, spec, 0, 1, rng)
-    else:
-        outcome = synthesis(state, spec, 0, 1, rng)
+    indices = (0, 1) if kind in PAIR_REACTIONS else (0,)
+    outcome = kind(state, spec, *indices, rng)
     after = total_energy(state)
     rel_err = abs(after - before) / max(abs(before), abs(after), 1.0)
     return outcome.success, rel_err

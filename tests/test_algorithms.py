@@ -16,12 +16,13 @@ from croopt.algorithms import (
     run_acro,
     run_cro,
     select_reaction_acro,
+    validate_config,
 )
 from croopt.benchmarks import as_objective, make_instance
 from croopt.core import ObjectiveSpec
 from croopt.errors import DimensionMismatch, InvalidConfig
 from croopt.operators import BoundaryRule, SynthesisRule
-from croopt.reactions import ReactionKind
+from croopt.reactions import decomposition, intermolecular_collision, on_wall_collision, synthesis
 
 from helpers import ScriptedRNG, drive_scripted_window, make_state, molecule, queue_objective
 
@@ -125,9 +126,9 @@ def test_select_feedback_threshold(size, threshold):
         assert rng._random == []
         return kind
 
-    assert select(threshold) is ReactionKind.SYNTHESIS
+    assert select(threshold) is synthesis
     if threshold > 0.0:
-        assert select(np.nextafter(threshold, 0.0)) is ReactionKind.DECOMPOSITION
+        assert select(np.nextafter(threshold, 0.0)) is decomposition
 
 
 def test_select_never_synthesizes_a_lone_molecule():
@@ -135,7 +136,7 @@ def test_select_never_synthesizes_a_lone_molecule():
     cfg = ACROConfig(change_rate=1.0)
     rng = np.random.default_rng(5)
     kinds = {select_reaction_acro(state, cfg, rng) for _ in range(2_000)}
-    assert kinds == {ReactionKind.DECOMPOSITION}
+    assert kinds == {decomposition}
 
 
 def test_select_constant_branch_only_when_change_rate_zero():
@@ -144,7 +145,7 @@ def test_select_constant_branch_only_when_change_rate_zero():
     cfg = ACROConfig(change_rate=0.0)
     rng = np.random.default_rng(6)
     kinds = {select_reaction_acro(state, cfg, rng) for _ in range(2_000)}
-    assert kinds == {ReactionKind.ON_WALL, ReactionKind.INTER_MOLECULAR}
+    assert kinds == {on_wall_collision, intermolecular_collision}
 
 
 def test_select_variable_branch_frequency_matches_change_rate():
@@ -157,7 +158,7 @@ def test_select_variable_branch_frequency_matches_change_rate():
     variable = 0
     for _ in range(100_000):
         kind = select_reaction_acro(state, cfg, rng)
-        variable += kind in (ReactionKind.DECOMPOSITION, ReactionKind.SYNTHESIS)
+        variable += kind in (decomposition, synthesis)
     assert 0.008 <= variable / 100_000 <= 0.012
 
 
@@ -276,6 +277,18 @@ def test_run_acro_rejects_undersized_budget():
         CROConfig(variant=Variant.CRO_D, adapt_interval=True),
         CROConfig(ini_ke=np.inf),
         CROConfig(ini_buffer=np.inf),
+        # Real fields take an int, a float or a numpy real: no str, no bool.
+        ACROConfig(variant="ACRO/BP"),
+        ACROConfig(coll_rate="0.2"),
+        ACROConfig(change_rate=True),
+        CROConfig(ini_ke="1e7"),
+        CROConfig(ini_buffer="1e5"),
+        CROConfig(loss_rate=True),
+        CROConfig(dec_thres="1.5e5"),
+        CROConfig(syn_thres=True),
+        CROConfig(step_size="1.0"),
+        CROConfig(step_size=np.inf),
+        CROConfig(variant=Variant.CRO_D, adapt_rate="0.99"),
     ],
 )
 def test_invalid_configs_rejected(cfg):
@@ -284,10 +297,17 @@ def test_invalid_configs_rejected(cfg):
     with pytest.raises(InvalidConfig) as rejected:
         runner(as_objective(inst), cfg, np.random.default_rng(0))
     # The message names a field that differs from the variant's defaults.
-    default = type(cfg)(variant=cfg.variant)
+    default = type(cfg)(variant=cfg.variant) if isinstance(cfg.variant, Variant) else type(cfg)()
     changed = [f.name for f in dataclasses.fields(cfg)
                if getattr(cfg, f.name) != getattr(default, f.name)]
     assert str(rejected.value).split()[0] in changed
+
+
+def test_real_fields_accept_ints_and_numpy_reals():
+    validate_config(ACROConfig(coll_rate=0, change_rate=np.float32(1e-4)))
+    validate_config(CROConfig(variant=Variant.CRO_D, ini_ke=10**7, ini_buffer=np.int64(0),
+                              loss_rate=np.float64(0.1), dec_thres=150_000, syn_thres=np.int8(10),
+                              step_size=np.float16(1.0), adapt_rate=np.float32(0.99)))
 
 
 @pytest.mark.parametrize("runner, make", [

@@ -11,7 +11,6 @@ from croopt.benchmarks import (
     instance_from_cec_dir,
     make_instance,
     optimal_point,
-    optimum_residual,
     parse_func_id,
     schwefel_1_2,
     schwefel_2_26,
@@ -75,15 +74,15 @@ def test_constructed_optima(fdef):
     # floor of ~1.27e-5 per dimension for the Schwefel 2.26 pair.
     inst = make_instance(fdef.id, 30, SEED)
     tol = 1e-3 if fdef.base is schwefel_2_26 else 1e-6
-    assert abs(optimum_residual(inst)) < tol
+    assert abs(evaluate_benchmark(inst, optimal_point(inst))) < tol
 
 
 def test_rotation_invariance_of_optimum_value():
     for rotated_id, plain_id in ((3, 2), (9, 8), (14, 13), (20, 19), (24, 23)):
         rotated = make_instance(rotated_id, 30, SEED)
         plain = make_instance(plain_id, 30, SEED)
-        assert optimum_residual(rotated) == pytest.approx(
-            optimum_residual(plain), abs=1e-6
+        assert evaluate_benchmark(rotated, optimal_point(rotated)) == pytest.approx(
+            evaluate_benchmark(plain, optimal_point(plain)), abs=1e-6
         )
 
 
@@ -145,6 +144,17 @@ def test_cec_rejects_truncated_rotation_and_bad_numbers(tmp_path):
     (tmp_path / "f3_shift.txt").write_text("1.5 2.5 x3 4.5")
     with pytest.raises(FormatError, match="bad number"):
         instance_from_cec_dir(3, dim, tmp_path)
+
+
+@pytest.mark.parametrize("transform", [
+    TransformData([0.0, 0.0, 0.0], np.eye(3), 1.0),
+    TransformData(np.zeros(3), np.eye(3).tolist(), 1.0),
+    TransformData(np.zeros(3, dtype=object), np.eye(3), 1.0),
+    TransformData(np.zeros(3), np.eye(3, dtype=complex), 1.0),
+], ids=["list-shift", "list-rotation", "object-shift", "complex-rotation"])
+def test_instances_reject_transform_data_that_is_not_a_real_array(transform):
+    with pytest.raises(FormatError, match="real numpy arrays"):
+        make_instance("f1", 3, transform=transform)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -4,7 +4,6 @@ import pytest
 from croopt.algorithms import draw_loss_rate
 from croopt.core import ObjectiveSpec
 from croopt.reactions import (
-    ReactionKind,
     decomposition,
     intermolecular_collision,
     on_wall_collision,
@@ -12,6 +11,8 @@ from croopt.reactions import (
 )
 
 from helpers import (
+    PAIR_REACTIONS,
+    REACTIONS,
     ScriptedRNG,
     box_bounds,
     collect_conserved,
@@ -220,14 +221,14 @@ def test_synthesis_failure_keeps_parents():
 #: decomposition grows the population and only a successful synthesis
 #: shrinks it.
 POPULATION_CHANGE = {
-    (ReactionKind.ON_WALL, True): 0,
-    (ReactionKind.ON_WALL, False): 0,
-    (ReactionKind.DECOMPOSITION, True): 1,
-    (ReactionKind.DECOMPOSITION, False): 0,
-    (ReactionKind.INTER_MOLECULAR, True): 0,
-    (ReactionKind.INTER_MOLECULAR, False): 0,
-    (ReactionKind.SYNTHESIS, True): -1,
-    (ReactionKind.SYNTHESIS, False): 0,
+    (on_wall_collision, True): 0,
+    (on_wall_collision, False): 0,
+    (decomposition, True): 1,
+    (decomposition, False): 0,
+    (intermolecular_collision, True): 0,
+    (intermolecular_collision, False): 0,
+    (synthesis, True): -1,
+    (synthesis, False): 0,
 }
 
 
@@ -246,9 +247,9 @@ def test_failed_reactions_still_charge_their_evaluations():
     assert state.fe_count == 6
 
 
-@pytest.mark.parametrize("kind", [k for k in ReactionKind])
+@pytest.mark.parametrize("kind", REACTIONS, ids=lambda reaction: reaction.__name__)
 def test_energy_conservation_randomized(kind):
-    worst = collect_conserved(kind, required=250, seed=100 + list(ReactionKind).index(kind))
+    worst = collect_conserved(kind, required=250, seed=100 + REACTIONS.index(kind))
     assert worst <= 1e-9
 
 
@@ -269,15 +270,9 @@ def test_population_delta_contract():
             m.pe = spec.evaluate(m.structure)
         state = make_state(mols, buffer=rng.uniform(0, 100))
         size = len(state.population)
-        kind = list(ReactionKind)[rng.choice(len(ReactionKind))]
-        if kind is ReactionKind.ON_WALL:
-            outcome = on_wall_collision(state, spec, 0, rng)
-        elif kind is ReactionKind.DECOMPOSITION:
-            outcome = decomposition(state, spec, 0, rng)
-        elif kind is ReactionKind.INTER_MOLECULAR:
-            outcome = intermolecular_collision(state, spec, 0, 1, rng)
-        else:
-            outcome = synthesis(state, spec, 0, 1, rng)
+        kind = REACTIONS[rng.choice(len(REACTIONS))]
+        indices = (0, 1) if kind in PAIR_REACTIONS else (0,)
+        outcome = kind(state, spec, *indices, rng)
         key = (kind, outcome.success)
         assert len(state.population) - size == POPULATION_CHANGE[key], key
         seen.add(key)
