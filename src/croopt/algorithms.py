@@ -163,8 +163,15 @@ def validate_config(cfg):
         _check_real(cfg, "adapt_rate", lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
 
 
+def _is_real_vector(bound):
+    """A numpy array of float or integer dtype, or a sequence of reals."""
+    if isinstance(bound, np.ndarray):
+        return bound.dtype.kind in "fiu"
+    return all(_is_real(value) for value in bound)
+
+
 def _validate_objective(spec):
-    """Check the search box once per run: shapes, finiteness, lower < upper.
+    """Check the search box once per run: shapes, reals, finiteness, lower < upper.
 
     Both bounds share one non-empty 1-D shape, whose length is the dimension.
     The width must be finite too, as boundary repair scales a unit draw by
@@ -174,6 +181,8 @@ def _validate_objective(spec):
     if len(shape) != 1 or not shape[0] or np.shape(spec.upper) != shape:
         raise DimensionMismatch(f"bounds must share one non-empty 1-D shape, got "
                                 f"{shape} and {np.shape(spec.upper)}")
+    _check(_is_real_vector(spec.lower) and _is_real_vector(spec.upper),
+           "bounds must be real numbers")
     lower = np.asarray(spec.lower, dtype=float)
     upper = np.asarray(spec.upper, dtype=float)
     _check(np.isfinite(lower).all() and np.isfinite(upper).all(), "bounds must be finite")
@@ -308,10 +317,6 @@ class RunResult:
     state: ReactorState = field(repr=False)
 
 
-def _pick_one(state, rng):
-    return _draw_index(len(state.population), rng)
-
-
 def _pick_pair(state, rng):
     n = len(state.population)
     i = _draw_index(n, rng)
@@ -325,7 +330,7 @@ def _react_acro(state, spec, cfg, rng):
     """ACRO: the feedback scheme picks the reaction, then its molecules."""
     reaction = select_reaction_acro(state, cfg, rng)
     if reaction is on_wall_collision or reaction is decomposition:
-        return reaction(state, spec, _pick_one(state, rng), rng)
+        return reaction(state, spec, _draw_index(len(state.population), rng), rng)
     i, j = _pick_pair(state, rng)
     return reaction(state, spec, i, j, rng)
 
@@ -343,7 +348,7 @@ def _react_cro(state, spec, cfg, rng):
         if pop[i].ke < cfg.syn_thres and pop[j].ke < cfg.syn_thres:
             return synthesis(state, spec, i, j, rng)
         return intermolecular_collision(state, spec, i, j, rng)
-    i = _pick_one(state, rng)
+    i = _draw_index(len(state.population), rng)
     if state.population[i].inactive_degree > cfg.dec_thres:
         return decomposition(state, spec, i, rng)
     return on_wall_collision(state, spec, i, rng)
@@ -396,7 +401,7 @@ def _drive(state, spec, cfg, rng, observer):
         observer(state)
     while state.fe_count < max_fes:
         if max_fes - state.fe_count == 1:
-            outcome = on_wall_collision(state, spec, _pick_one(state, rng), rng)
+            outcome = on_wall_collision(state, spec, _draw_index(len(state.population), rng), rng)
         else:
             outcome = react(state, spec, cfg, rng)
         for structure, pe in outcome.new_structures:

@@ -103,6 +103,8 @@ def levy(z):
 def u_penalty(z, a):
     """Boundary penalty: 100(|z|-a)^4 outside [-a, a], zero inside."""
     z = np.asarray(z, dtype=float)
+    if np.abs(z).max() <= a:  # the formula's own 0.0; NaN falls through to it
+        return 0.0
     over = np.maximum(z - a, 0.0)
     under = np.maximum(-z - a, 0.0)
     return float((100.0 * (over**4.0 + under**4.0)).sum())
@@ -285,13 +287,24 @@ def evaluate_benchmark(inst, x):
         raise DimensionMismatch(
             f"point has shape {x.shape}, expected ({inst.dimension},)"
         )
-    transform = inst.transform
-    z = x - transform.shift if inst.shifted else x
-    if inst.rotated:
-        z = transform.rotation.dot(z)
-    if transform.scale != 1.0:
-        z = z * transform.scale
-    return inst.base(z)
+    return _bind(inst)(x)
+
+
+def _bind(inst):
+    """The instance's evaluation with its transform read once, unchecked."""
+    base, transform = inst.base, inst.transform
+    shift, rotation, scale = transform.shift, transform.rotation, transform.scale
+    shifted, rotated, scaled = inst.shifted, inst.rotated, scale != 1.0
+
+    def evaluate(x):
+        z = x - shift if shifted else x
+        if rotated:
+            z = rotation.dot(z)
+        if scaled:
+            z = z * scale
+        return base(z)
+
+    return evaluate
 
 
 def optimal_point(inst):
@@ -311,12 +324,13 @@ def optimal_point(inst):
 
 
 def as_objective(inst):
-    """Wrap an instance as the objective contract the reactor consumes."""
-    return ObjectiveSpec(
-        lower=inst.lower,
-        upper=inst.upper,
-        evaluate=lambda x: evaluate_benchmark(inst, x),
-    )
+    """Wrap an instance as the objective contract the reactor consumes.
+
+    Its ``evaluate`` trusts ``x`` to be a float64 vector of the instance's
+    dimension, as the run hands it; :func:`evaluate_benchmark` is the
+    checked entry.
+    """
+    return ObjectiveSpec(lower=inst.lower, upper=inst.upper, evaluate=_bind(inst))
 
 
 # ---------------------------------------------------------------------------

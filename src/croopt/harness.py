@@ -10,7 +10,6 @@ objective.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -133,7 +132,11 @@ def run_experiment(configs, benchmarks, runs, base_seed, parallelism=1, record_s
         for run in range(runs)
     ]
     records = []
-    pool = ProcessPoolExecutor(max_workers=parallelism) if parallelism > 1 else None
+    pool = None
+    if parallelism > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not loaded by serial runs
+
+        pool = ProcessPoolExecutor(max_workers=parallelism)
     with pool or nullcontext():
         # Executor.map cancels the pending runs when its iterator raises.
         results = map(_run_task, tasks) if pool is None else pool.map(_run_task, tasks)

@@ -8,8 +8,9 @@ of the problem's length, as it is throughout a run.
 
 from __future__ import annotations
 
+import ctypes
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -65,14 +66,24 @@ def _draw_index(n, rng):
     return int(rng.integers(n)) if n > 1 else 0
 
 
+@cache
+def _standard_normal():
+    """numpy's C ``random_standard_normal``, loaded as its cffi example does."""
+    from numpy.random import _generator
+
+    draw = ctypes.CDLL(_generator.__file__).random_standard_normal
+    draw.restype = ctypes.c_double
+    return draw
+
+
 class _BitDraws:
     """An exact ``np.random.Generator`` with cheaper scalar draws, same bits.
 
-    Scalar ``random()`` and ``integers(n)``, 2 <= n < 2**32, replay numpy's
-    C routines on the bit generator's public ``ctypes`` interface: the unit
-    double, and Lemire's bounded-integer rejection on ``next_uint32``
-    (``buffered_bounded_lemire_uint32``). Other draws are the generator's
-    own. The replay skips ``Generator.lock``: a run must own its generator.
+    Scalar ``random()``, ``integers(n)`` (2 <= n < 2**32) and ``normal(0.0, s)``
+    (float s > 0) replay numpy's C routines on the bit generator's ``ctypes``
+    interface: the unit double, Lemire's ``buffered_bounded_lemire_uint32`` on
+    ``next_uint32``, and ``random_normal``. Other draws and their errors are the
+    generator's own. The replay skips ``Generator.lock``: a run owns its generator.
     """
 
     def __init__(self, rng):
@@ -80,11 +91,17 @@ class _BitDraws:
         self._rng = rng  # keeps the state behind ct.state_address alive
         self._next_double = partial(ct.next_double, ct.state_address)
         self._next_uint32 = partial(ct.next_uint32, ct.state_address)
-        self.normal = rng.normal
+        self._standard_normal = partial(_standard_normal(), ct.bit_generator)
         self.uniform = rng.uniform
 
     def random(self, size=None):
         return self._next_double() if size is None else self._rng.random(size)
+
+    def normal(self, loc, scale):
+        # A zero loc is exact under FMA contraction too; numpy rejects -0.0.
+        if type(scale) is float and scale > 0.0 and type(loc) is float and loc == 0.0:
+            return loc + scale * self._standard_normal()
+        return self._rng.normal(loc, scale)
 
     def integers(self, n):
         m = self._next_uint32() * n

@@ -220,6 +220,13 @@ def _reference_griewank(z):
     return float((z * z).sum() / 4000.0 - np.cos(z / i).prod() + 1.0)
 
 
+def reference_u_penalty(z, a):
+    """u_penalty's full formula, without its early return inside [-a, a]."""
+    over = np.maximum(z - a, 0.0)
+    under = np.maximum(-z - a, 0.0)
+    return float((100.0 * (over**4.0 + under**4.0)).sum())
+
+
 REFERENCE_BASES = {
     sphere: _reference_sphere,
     schwefel_1_2: _reference_schwefel_1_2,

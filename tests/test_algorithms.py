@@ -432,10 +432,16 @@ def _box(lower, upper):
         (_box(np.full(3, 1.0), np.full(3, -1.0)), InvalidConfig),
         (_box(np.full(3, -1e308), np.full(3, 1e308)), InvalidConfig),
         (_box(np.full((2, 3), -1.0), np.full((2, 3), 1.0)), DimensionMismatch),
+        (_box(["a", "b"], [1.0, 1.0]), InvalidConfig),
+        (_box(np.array(["-1", "-1"]), np.full(2, 1.0)), InvalidConfig),
+        (_box(np.full(2, -1.0 + 0j), np.full(2, 1.0)), InvalidConfig),
+        (_box([-1.0, -1.0], [1.0 + 0j, 1.0]), InvalidConfig),
+        (_box(np.array([-1.0, -1.0], dtype=object), np.full(2, 1.0)), InvalidConfig),
     ],
     ids=["lower-length", "upper-shape", "zero-dimension", "nan-bound",
          "infinite-bound", "empty-interval", "swapped-bounds", "width-overflow",
-         "2d-bounds"],
+         "2d-bounds", "string-list", "string-array", "complex-array",
+         "complex-list", "object-array"],
 )
 @pytest.mark.parametrize("runner, cfg", [(run_acro, ACROConfig(max_fes=100)),
                                          (run_cro, CROConfig(max_fes=100))])

@@ -149,6 +149,29 @@ def test_run_experiment_is_parallelism_invariant():
         assert a.trace == b.trace
 
 
+def _fresh_interpreter_env():
+    """The environment of a fresh interpreter that imports this croopt."""
+    src = str(Path(croopt.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_serial_runs_leave_the_process_pool_unloaded():
+    # Only run_experiment with parallelism > 1 imports concurrent.futures.
+    script = """
+import sys
+import croopt, croopt.cli
+from croopt.algorithms import default_config
+from croopt.benchmarks import make_instance
+croopt.run_experiment([default_config("ACRO/BP", 100)], [make_instance("f1", 2)], 1, 0)
+print("concurrent.futures" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_fresh_interpreter_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_run_experiment_orders_records_canonically():
     instances = [make_instance("f2", 10, SEED), make_instance("f1", 10, SEED)]
     _, records = run_experiment(
@@ -358,15 +381,12 @@ def test_cli_overflow_writes_only_the_json_line_to_stderr(tmp_path, parallel):
     # A fresh interpreter, as a user runs it: nothing captures numpy's
     # warnings there, so any would land on stderr next to the error line.
     (tmp_path / "f1_shift.txt").write_text(" ".join(["1e308"] * 10))
-    src = str(Path(croopt.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from croopt.cli import main; sys.exit(main())",
          "run", "--algo", "ACRO/BP", "--func", "f1", "--dim", "10", "--runs", "1",
          "--max-fes", "500", "--parallel", parallel, "--out", str(tmp_path / "out"),
          "--cec-data", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_fresh_interpreter_env(), timeout=120,
     )
     assert proc.returncode == 1
     err_lines = proc.stderr.splitlines()

@@ -5,9 +5,11 @@ rather than ``rng.uniform(lo, hi)``: the same formula numpy evaluates, so the
 same bits from the same stream. These tests pin that claim and three more
 of the same kind: an index draw from a one-value range skips its generator
 call without moving the stream, a run's scalar draws replayed on the bit
-generator give the values and state of the Generator's own methods, and the
-objective's ndarray.dot and cached index vectors give the bits of `@` and a
-fresh np.arange. They also keep repaired points inside the box under both
+generator give the values and state of the Generator's own methods (and
+its errors), the objective's ndarray.dot and cached index vectors give the
+bits of `@` and a fresh np.arange, the run's bound objective gives the bits
+of evaluate_benchmark, and u_penalty's early return gives the bits of its
+full formula. They also keep repaired points inside the box under both
 boundary rules, check that random reaction sequences conserve buffer +
 sum(PE + KE), check that the run loop meets every reaction's preconditions
 (budget, indices, population size) and spends its budget exactly, and check
@@ -24,7 +26,13 @@ from hypothesis import strategies as st
 
 from croopt import algorithms
 from croopt.algorithms import ACROConfig, CROConfig, SuccessRule, Variant, draw_loss_rate
-from croopt.benchmarks import FUNCTION_TABLE, evaluate_benchmark, make_instance
+from croopt.benchmarks import (
+    FUNCTION_TABLE,
+    as_objective,
+    evaluate_benchmark,
+    make_instance,
+    u_penalty,
+)
 from croopt.core import Molecule, total_energy
 from croopt.operators import (
     BoundaryRule,
@@ -46,6 +54,7 @@ from helpers import (
     make_state,
     molecule,
     reference_evaluate,
+    reference_u_penalty,
     sphere_objective,
 )
 
@@ -71,18 +80,55 @@ def intervals(draw):
     return lo, hi
 
 
+# The (loc, scale) of a normal draw: the library's zero loc and positive
+# scalar scales, and around them what the replay must leave to numpy: other
+# locs, a zero, signed-zero, infinite or NaN scale, a vector scale (as
+# decomposition draws), and negative scales, which numpy rejects.
+normal_args = st.tuples(
+    st.one_of(st.just(0.0), st.floats(min_value=-1e3, max_value=1e3)),
+    st.one_of(
+        st.floats(min_value=0.0, max_value=1e300),
+        st.sampled_from([0.0, 5e-324, 1e300, -0.0, math.inf, math.nan]),
+        st.floats(max_value=-5e-324, allow_infinity=False),
+        st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=5).map(np.array),
+    ),
+)
+
+# Every kind of normal call above, each between two replayed draws.
+NORMAL_EDGES = [
+    step
+    for args in [(0.0, 0.3), (0.0, 0.0), (0.0, 5e-324), (0.0, 1e300), (2.5, 0.3),
+                 (0.0, -0.0), (0.0, -1.0), (0.0, math.nan), (0.0, math.inf),
+                 (0.0, np.array([0.5, 0.0, 2.0]))]
+    for step in [("normal", args), ("random", 0), ("integers", 7)]
+]
+
 # One step of an interleaved call sequence: a scalar uniform, or one of the
 # other draws the library makes between uniforms. ``float_steps`` leaves out
 # ``integers``, for tests that pick their own index ranges.
 float_steps = st.one_of(
     st.tuples(st.just("uniform"), intervals()),
-    st.tuples(st.just("normal"), st.floats(min_value=1e-6, max_value=1e3)),
+    st.tuples(st.just("normal"), normal_args),
     st.tuples(st.just("random"), st.integers(min_value=0, max_value=4)),
 )
 steps = st.one_of(
     float_steps,
     st.tuples(st.just("integers"), st.integers(min_value=1, max_value=50)),
 )
+
+
+def assert_same_normal(draws, reference, loc, scale):
+    """``draws.normal`` gives the value of ``reference.normal``, or its error."""
+    try:
+        expected = reference.normal(loc, scale)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            draws.normal(loc, scale)
+        assert str(raised.value) == str(exc)
+        return
+    value = draws.normal(loc, scale)
+    assert type(value) is type(expected)
+    assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
 
 
 @SETTINGS
@@ -97,7 +143,7 @@ def test_uniform_formula_matches_generator_bit_for_bit(seed, sequence):
         elif kind == "integers":
             assert formula.integers(arg) == reference.integers(arg)
         elif kind == "normal":
-            assert bits(formula.normal(0.0, arg)) == bits(reference.normal(0.0, arg))
+            assert_same_normal(formula, reference, *arg)
         else:
             size = arg or None
             assert np.array_equal(formula.random(size), reference.random(size))
@@ -122,7 +168,7 @@ def test_draw_index_matches_generator_integers(seed, sequence):
         elif kind == "integers":
             assert skipping.integers(arg) == reference.integers(arg)
         elif kind == "normal":
-            assert bits(skipping.normal(0.0, arg)) == bits(reference.normal(0.0, arg))
+            assert_same_normal(skipping, reference, *arg)
         else:
             size = arg or None
             assert np.array_equal(skipping.random(size), reference.random(size))
@@ -173,6 +219,11 @@ replay_ranges = st.one_of(
 )
 @example(bit_generator=np.random.PCG64, seed=0,
          sequence=[("integers", 2**31), ("integers", 2**31 + 1)] * 16)
+@example(bit_generator=np.random.PCG64, seed=1, sequence=NORMAL_EDGES)
+@example(bit_generator=np.random.PCG64DXSM, seed=2, sequence=NORMAL_EDGES)
+@example(bit_generator=np.random.MT19937, seed=3, sequence=NORMAL_EDGES)
+@example(bit_generator=np.random.Philox, seed=4, sequence=NORMAL_EDGES)
+@example(bit_generator=np.random.SFC64, seed=5, sequence=NORMAL_EDGES)
 def test_bit_draws_replay_the_generator_exactly(bit_generator, seed, sequence):
     replayed = np.random.Generator(bit_generator(seed))
     reference = np.random.Generator(bit_generator(seed))
@@ -184,7 +235,7 @@ def test_bit_draws_replay_the_generator_exactly(bit_generator, seed, sequence):
             lo, hi = arg
             assert bits(draws.uniform(lo, hi)) == bits(reference.uniform(lo, hi))
         elif kind == "normal":
-            assert bits(draws.normal(0.0, arg)) == bits(reference.normal(0.0, arg))
+            assert_same_normal(draws, reference, *arg)
         elif arg:
             assert draws.random(arg).tobytes() == reference.random(arg).tobytes()
         else:
@@ -203,17 +254,31 @@ _INSTANCES = {}
     seed=seeds,
     spread=st.sampled_from([1.0, 100.0, 1e4]),
     stride=st.integers(min_value=1, max_value=3),
+    centred=st.booleans(),
 )
-def test_objective_matches_reference_spellings(func_id, dim, seed, spread, stride):
+def test_objective_matches_reference_spellings(func_id, dim, seed, spread, stride, centred):
     key = (func_id, dim)
     if key not in _INSTANCES:
         _INSTANCES[key] = make_instance(func_id, dim)
     inst = _INSTANCES[key]
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-spread, spread, dim * stride)[::stride]
+    # Centred points lie around the shift, inside f21-f24's penalty box.
+    centre = np.repeat(inst.transform.shift, stride) if centred else 0.0
+    x = (rng.uniform(-spread, spread, dim * stride) + centre)[::stride]
     assert x.flags.c_contiguous == (stride == 1 or dim == 1)
     with np.errstate(over="ignore"):
         assert bits(evaluate_benchmark(inst, x)) == bits(reference_evaluate(inst, x))
+        # The run's bound evaluate, on a contiguous vector as the run hands it.
+        evaluate = as_objective(inst).evaluate
+        assert bits(evaluate(np.ascontiguousarray(x))) == bits(evaluate_benchmark(inst, x))
+        # u_penalty's early return gives the full formula's bits inside,
+        # exactly on and just outside [-a, a], and its NaN.
+        a = 5.0 if func_id % 2 else 10.0
+        z = np.clip(x, -a, a)
+        outside = np.nextafter(a, math.inf)
+        for edge in (z[0], a, -a, outside, -outside, math.nan):
+            z[seed % dim] = edge
+            assert bits(u_penalty(z, a)) == bits(reference_u_penalty(z, a))
         # The base formulas on a strided vector too: evaluate_benchmark
         # hands them a fresh contiguous z for every function in the table.
         if inst.base in REFERENCE_BASES:
