@@ -94,7 +94,7 @@ normal_args = st.tuples(
     ),
 )
 
-# Every kind of normal call above, each between two replayed draws.
+# Every kind of normal call above, each followed by two replayed draws.
 NORMAL_EDGES = [
     step
     for args in [(0.0, 0.3), (0.0, 0.0), (0.0, 5e-324), (0.0, 1e300), (2.5, 0.3),
