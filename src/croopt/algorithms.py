@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import (
     Molecule,
+    ObjectiveSpec,
     ReactorState,
     _is_count,
     _is_real,
@@ -171,16 +172,19 @@ def _is_real_vector(bound):
 
 
 def _validate_objective(spec):
-    """Check the search box once per run: shapes, reals, finiteness, lower < upper.
+    """Check the search box once per run; return its bounds as float64 arrays.
 
     Both bounds share one non-empty 1-D shape, whose length is the dimension.
     The width must be finite too, as boundary repair scales a unit draw by
     it; the run's errstate keeps the overflow of that check quiet.
     """
-    shape = np.shape(spec.lower)
-    if len(shape) != 1 or not shape[0] or np.shape(spec.upper) != shape:
+    try:
+        shape, other = np.shape(spec.lower), np.shape(spec.upper)
+    except ValueError as exc:  # a ragged sequence has no shape
+        raise DimensionMismatch(f"bounds must be 1-D sequences: {exc}") from None
+    if len(shape) != 1 or not shape[0] or other != shape:
         raise DimensionMismatch(f"bounds must share one non-empty 1-D shape, got "
-                                f"{shape} and {np.shape(spec.upper)}")
+                                f"{shape} and {other}")
     _check(_is_real_vector(spec.lower) and _is_real_vector(spec.upper),
            "bounds must be real numbers")
     lower = np.asarray(spec.lower, dtype=float)
@@ -188,6 +192,7 @@ def _validate_objective(spec):
     _check(np.isfinite(lower).all() and np.isfinite(upper).all(), "bounds must be finite")
     _check((lower < upper).all(), "lower must lie below upper in every element")
     _check(np.isfinite(upper - lower).all(), "upper - lower overflows")
+    return lower, upper
 
 
 class SuccessRule:
@@ -269,7 +274,7 @@ def _init_reactor(spec, cfg, rng, **fields):
 
 
 def acro_init(spec, cfg, rng):
-    """Build the initial reactor for an adaptive run.
+    """Build the initial reactor for an adaptive run in a float64 box.
 
     The shared initial KE is (max PE - min PE) x population size, the buffer
     starts empty, per-element step sizes start at half the box width, and
@@ -280,7 +285,7 @@ def acro_init(spec, cfg, rng):
         raise InvalidConfig("adaptive runs take an ACROConfig")
     state, structures, pes = _init_reactor(
         spec, cfg, rng,
-        step_size=(np.asarray(spec.upper, float) - np.asarray(spec.lower, float)) / 2.0,
+        step_size=(spec.upper - spec.lower) / 2.0,
         child_loss_rate=draw_loss_rate,
     )
     ke = (max(pes) - min(pes)) * cfg.ini_pop_size
@@ -307,14 +312,19 @@ def cro_init(spec, cfg, rng):
 
 @dataclass
 class RunResult:
-    """What one run produces before the harness wraps it for reporting."""
+    """What one run produces; its best PE, solution and count are its state's."""
 
-    best_pe: float
-    best_solution: np.ndarray
     trace: list[tuple[int, float]]
-    fe_count: int
     wall_time: float
     state: ReactorState = field(repr=False)
+    best_pe: float = field(init=False)
+    best_solution: np.ndarray = field(init=False)
+    fe_count: int = field(init=False)
+
+    def __post_init__(self):
+        self.best_pe = self.state.best_pe
+        self.best_solution = self.state.best_solution
+        self.fe_count = self.state.fe_count
 
 
 def _pick_pair(state, rng):
@@ -414,14 +424,7 @@ def _drive(state, spec, cfg, rng, observer):
             next_checkpoint = _extend_trace(trace, state, max_fes)
         if observer is not None:
             observer(state)
-    return RunResult(
-        best_pe=state.best_pe,
-        best_solution=state.best_solution,
-        trace=trace,
-        fe_count=state.fe_count,
-        wall_time=time.perf_counter() - started,
-        state=state,
-    )
+    return RunResult(trace, time.perf_counter() - started, state)
 
 
 def run_acro(spec, cfg, rng, observer=None):
@@ -430,7 +433,7 @@ def run_acro(spec, cfg, rng, observer=None):
     ``observer(state)``, if given, is called once after initialization and
     after every reaction. It sees the live reactor and must not change it;
     it never receives the generator, so it cannot perturb the random stream.
-    The search box is validated once, before anything is drawn. numpy's
+    The box is validated and made float64 once, before any draw. numpy's
     floating-point warnings are silenced for the run: an objective that
     overflows ends it with NonFiniteObjective instead.
     """
@@ -450,5 +453,5 @@ def _run(init, spec, cfg, rng, observer):
     # A Generator subclass may override the replayed methods: not replayed.
     draws = _BitDraws(rng) if type(rng) is np.random.Generator else rng
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _validate_objective(spec)
+        spec = ObjectiveSpec(*_validate_objective(spec), spec.evaluate)
         return _drive(init(spec, cfg, draws), spec, cfg, draws, observer)

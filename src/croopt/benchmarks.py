@@ -10,7 +10,7 @@ the truncated Schwefel 2.26 constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 from typing import Callable
@@ -200,14 +200,21 @@ class TransformData:
 @dataclass(eq=False)
 class BenchmarkInstance:
     func_id: int
-    base: Callable[[np.ndarray], float]
     transform: TransformData
-    dimension: int
-    lower: np.ndarray
-    upper: np.ndarray
-    # Copied from the function's table row, so evaluation reads plain fields.
-    shifted: bool
-    rotated: bool
+    # Derived from the table row and the shift, so evaluation reads plain fields.
+    base: Callable[[np.ndarray], float] = field(init=False)
+    shifted: bool = field(init=False)
+    rotated: bool = field(init=False)
+    dimension: int = field(init=False)
+    lower: np.ndarray = field(init=False)
+    upper: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        fdef = _DEFS_BY_ID[self.func_id]
+        self.base, self.shifted, self.rotated = fdef.base, fdef.shifted, fdef.rotated
+        self.dimension = self.transform.shift.shape[0]
+        self.lower = np.full(self.dimension, -DEFAULT_BOUND)
+        self.upper = np.full(self.dimension, DEFAULT_BOUND)
 
     @property
     def label(self):
@@ -268,16 +275,7 @@ def make_instance(func_id, dim, transform_seed=DEFAULT_TRANSFORM_SEED,
         raise FormatError(
             f"f{func_id} requires scale {fdef.scale}, got {transform.scale}"
         )
-    return BenchmarkInstance(
-        func_id=func_id,
-        base=fdef.base,
-        transform=transform,
-        dimension=dim,
-        lower=np.full(dim, -DEFAULT_BOUND),
-        upper=np.full(dim, DEFAULT_BOUND),
-        shifted=fdef.shifted,
-        rotated=fdef.rotated,
-    )
+    return BenchmarkInstance(func_id, transform)
 
 
 def evaluate_benchmark(inst, x):

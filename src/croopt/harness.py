@@ -10,8 +10,7 @@ objective.
 from __future__ import annotations
 
 import json
-from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,16 +30,19 @@ def truncate(value):
 
 @dataclass
 class RunRecord:
-    """One finished run, ready for persistence."""
+    """One finished run, ready for persistence; the reported final is derived."""
 
     algorithm: str
     benchmark: str
     dimension: int
     seed: int
     final_raw: float
-    final_reported: float
     trace: list[tuple[int, float]]
     wall_time: float
+    final_reported: float = field(init=False)
+
+    def __post_init__(self):
+        self.final_reported = truncate(self.final_raw)
 
     def to_json(self):
         return json.dumps(
@@ -80,7 +82,6 @@ def execute_run(variant, config, instance, seed):
         dimension=instance.dimension,
         seed=seed,
         final_raw=result.best_pe,
-        final_reported=truncate(result.best_pe),
         trace=result.trace,
         wall_time=result.wall_time,
     )
@@ -106,8 +107,8 @@ def run_experiment(configs, benchmarks, runs, base_seed, parallelism=1, record_s
     Each cell uses seeds base_seed .. base_seed+runs-1. Records reach
     ``record_sink`` one at a time, which lets callers persist partial
     results; both the sink and the returned list see them in canonical
-    (config, benchmark, seed) order. The first failing run raises, and the
-    runs not yet started are cancelled.
+    (config, benchmark, seed) order. The first failing run or sink call
+    raises, and the runs not yet started are cancelled.
     """
     for config in configs:
         validate_config(config)
@@ -133,17 +134,20 @@ def run_experiment(configs, benchmarks, runs, base_seed, parallelism=1, record_s
     ]
     records = []
     pool = None
+    results = map(_run_task, tasks)
     if parallelism > 1:
         from concurrent.futures import ProcessPoolExecutor  # not loaded by serial runs
 
         pool = ProcessPoolExecutor(max_workers=parallelism)
-    with pool or nullcontext():
-        # Executor.map cancels the pending runs when its iterator raises.
-        results = map(_run_task, tasks) if pool is None else pool.map(_run_task, tasks)
+        results = pool.map(_run_task, tasks)
+    try:
         for record in results:
             records.append(record)
             if record_sink is not None:
                 record_sink(record)
+    finally:
+        if pool is not None:  # a failing run or sink cancels the runs not started
+            pool.shutdown(cancel_futures=True)
     return summarize(records), records
 
 

@@ -380,12 +380,34 @@ def test_replayed_draws_give_the_runs_of_generator_methods(variant):
 
 
 def test_list_bounds_give_the_run_of_array_bounds():
+    # Lists and integer arrays give the run of the float64 box they convert to.
     spec = as_objective(make_instance("f16", 10))
-    listed = ObjectiveSpec(spec.lower.tolist(), spec.upper.tolist(), spec.evaluate)
     cfg = ACROConfig(variant=Variant.ACRO_HP, change_rate=0.05, max_fes=3_000)
-    a = run_acro(spec, cfg, np.random.default_rng(3))
-    b = run_acro(listed, cfg, np.random.default_rng(3))
-    assert run_outcome(a) == run_outcome(b)
+    expected = run_outcome(run_acro(spec, cfg, np.random.default_rng(3)))
+    for lower, upper in ((spec.lower.tolist(), spec.upper.tolist()),
+                         (spec.lower.astype(int), spec.upper.astype(int))):
+        result = run_acro(ObjectiveSpec(lower, upper, spec.evaluate), cfg,
+                          np.random.default_rng(3))
+        assert run_outcome(result) == expected
+        state = result.state
+        assert (result.best_pe, result.fe_count) == (state.best_pe, state.fe_count)
+        assert result.best_solution is state.best_solution
+
+
+def test_integer_bounds_beyond_float_precision_repair_inside_the_box():
+    # The int64 width of a +-2**62 box overflows; repairs use the float64 box.
+    lower, upper = np.full(2, -2**62), np.full(2, 2**62)
+    escaped = []
+
+    def observer(state):
+        escaped.extend(m.structure for m in state.population
+                       if ((m.structure < -2.0**62) | (m.structure > 2.0**62)).any())
+
+    cfg = CROConfig(dec_thres=0.0, step_size=1e19, max_fes=4_000)
+    result = run_cro(ObjectiveSpec(lower, upper, lambda x: 0.0), cfg,
+                     np.random.default_rng(0), observer=observer)
+    assert result.fe_count == 4_000
+    assert not escaped
 
 
 def test_population_changes_by_at_most_one_per_iteration():
@@ -437,11 +459,13 @@ def _box(lower, upper):
         (_box(np.full(2, -1.0 + 0j), np.full(2, 1.0)), InvalidConfig),
         (_box([-1.0, -1.0], [1.0 + 0j, 1.0]), InvalidConfig),
         (_box(np.array([-1.0, -1.0], dtype=object), np.full(2, 1.0)), InvalidConfig),
+        (_box([-1.0, [-1.0]], [1.0, 1.0]), DimensionMismatch),
+        (_box([True, -1.0], [1.0, 1.0]), InvalidConfig),
     ],
     ids=["lower-length", "upper-shape", "zero-dimension", "nan-bound",
          "infinite-bound", "empty-interval", "swapped-bounds", "width-overflow",
          "2d-bounds", "string-list", "string-array", "complex-array",
-         "complex-list", "object-array"],
+         "complex-list", "object-array", "ragged-list", "bool-in-list"],
 )
 @pytest.mark.parametrize("runner, cfg", [(run_acro, ACROConfig(max_fes=100)),
                                          (run_cro, CROConfig(max_fes=100))])

@@ -1,8 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from croopt.benchmarks import (
     FUNCTION_TABLE,
+    BenchmarkInstance,
     TransformData,
     ackley,
     as_objective,
@@ -208,6 +211,22 @@ def test_all_instances_finite_on_random_points():
         for _ in range(420):  # 24 x 420 > 10k points across the suite
             x = rng.uniform(-100.0, 100.0, 10)
             assert np.isfinite(evaluate_benchmark(inst, x))
+
+
+def test_instances_derive_their_fields_from_id_and_transform():
+    # Built directly or by make_instance, and after a pickle round-trip as
+    # pool tasks take, an instance reads its table row and its dimension.
+    x = np.random.default_rng(19).uniform(-100.0, 100.0, 7)
+    for fdef in FUNCTION_TABLE:
+        made = make_instance(fdef.id, 7, SEED)
+        direct = BenchmarkInstance(fdef.id, made.transform)
+        for inst in (made, direct, pickle.loads(pickle.dumps(direct))):
+            assert (inst.func_id, inst.base, inst.shifted, inst.rotated) == (
+                fdef.id, fdef.base, fdef.shifted, fdef.rotated)
+            assert type(inst.dimension) is int and inst.dimension == 7
+            assert np.array_equal(inst.lower, np.full(7, -100.0))
+            assert np.array_equal(inst.upper, np.full(7, 100.0))
+            assert evaluate_benchmark(inst, x) == evaluate_benchmark(made, x)
 
 
 def test_evaluation_is_pure():

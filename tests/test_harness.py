@@ -4,12 +4,14 @@ import subprocess
 import sys
 import time
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import croopt
+from croopt import harness
 from croopt.algorithms import ACROConfig, Variant, default_config
 from croopt.benchmarks import TransformData, make_instance
 from croopt.cli import main
@@ -34,7 +36,6 @@ def record(final_raw, algorithm="ACRO/BP", benchmark="f1", seed=0, trace=()):
         dimension=30,
         seed=seed,
         final_raw=final_raw,
-        final_reported=truncate(final_raw),
         trace=list(trace) or [(100, final_raw)],
         wall_time=0.0,
     )
@@ -111,6 +112,18 @@ def test_emit_results_writes_three_files(tmp_path):
     assert len(record_lines) == 8
     parsed = json.loads(record_lines[0])
     assert parsed["algorithm"] == "ACRO/BP" and parsed["benchmark"] == "f1"
+
+
+def test_records_derive_the_reported_final_and_keep_their_json():
+    rec = RunRecord(algorithm="CRO/HP", benchmark="f13", dimension=5, seed=7,
+                    final_raw=2.5e-09, trace=[(4, 3.0), (400, 2.5e-09)], wall_time=0.125)
+    assert rec.final_reported == 0.0
+    assert rec.to_json() == (
+        '{"algorithm": "CRO/HP", "benchmark": "f13", "dimension": 5, "seed": 7, '
+        '"final_raw": 2.5e-09, "final_reported": 0.0, "wall_time": 0.125, '
+        '"trace": [[4, 3.0], [400, 2.5e-09]]}'
+    )
+    assert record(2.5).final_reported == 2.5
 
 
 def test_emit_results_refuses_empty(tmp_path):
@@ -294,6 +307,31 @@ def test_run_experiment_cancels_queued_runs_after_a_failure():
     elapsed = time.perf_counter() - started
     assert err.value.benchmark == "f2"
     assert elapsed < 6 * one_run + 1.0, f"{elapsed:.2f} s; one run takes {one_run:.2f} s"
+
+
+def _logged_run_task(log, task, run_task=harness._run_task):
+    with open(log, "a") as out:
+        out.write(".")
+    return run_task(task)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_experiment_cancels_queued_runs_after_a_sink_failure(
+        tmp_path, monkeypatch, parallelism):
+    # The sink fails on its first record, as a full disk would. Each run
+    # that starts leaves one mark in the log; only the runs already handed
+    # to a worker may still start, not the rest of the 40-run queue.
+    log = tmp_path / "started"
+    monkeypatch.setattr(harness, "_run_task", partial(_logged_run_task, log))
+
+    def sink(record):
+        raise OSError("no space left on device")
+
+    with pytest.raises(OSError):
+        run_experiment([ACROConfig(max_fes=20_000)], [make_instance("f1", 10, SEED)],
+                       runs=40, base_seed=0, parallelism=parallelism, record_sink=sink)
+    started = len(log.read_text())
+    assert started <= (1 if parallelism == 1 else 19), f"{started} runs started"
 
 
 def test_traces_are_nonincreasing():
