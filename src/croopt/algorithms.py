@@ -36,9 +36,13 @@ from .core import (
     evaluate_and_count,
     update_best,
 )
-from .errors import DimensionMismatch, InvalidConfig
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteObjective
 from .operators import BoundaryRule, SynthesisRule, _BitDraws, _draw_index
 from .reactions import (
+    _collision_trials,
+    _decomposition_trials,
+    _synthesis_trials,
+    _wall_trials,
     decomposition,
     intermolecular_collision,
     on_wall_collision,
@@ -337,12 +341,18 @@ def _pick_pair(state, rng):
 
 
 def _react_acro(state, spec, cfg, rng):
-    """ACRO: the feedback scheme picks the reaction, then its molecules."""
+    """ACRO: the feedback scheme picks the reaction, then its molecules.
+
+    Returns the reaction, its molecules and its trial structures.
+    """
     reaction = select_reaction_acro(state, cfg, rng)
     if reaction is on_wall_collision or reaction is decomposition:
-        return reaction(state, spec, _draw_index(len(state.population), rng), rng)
-    i, j = _pick_pair(state, rng)
-    return reaction(state, spec, i, j, rng)
+        molecules = (_draw_index(len(state.population), rng),)
+        propose = _wall_trials if reaction is on_wall_collision else _decomposition_trials
+    else:
+        molecules = _pick_pair(state, rng)
+        propose = _synthesis_trials if reaction is synthesis else _collision_trials
+    return reaction, molecules, propose(state, spec, molecules, rng)
 
 
 def _react_cro(state, spec, cfg, rng):
@@ -350,18 +360,20 @@ def _react_cro(state, spec, cfg, rng):
 
     A coll_rate draw picks uni- vs inter-molecular and the molecules are
     drawn; a pair with both KEs under syn_thres merges, a molecule whose
-    inactive degree exceeds dec_thres decomposes.
+    inactive degree exceeds dec_thres decomposes. Returns what
+    :func:`_react_acro` returns.
     """
     if rng.random() < cfg.coll_rate and len(state.population) >= 2:
-        i, j = _pick_pair(state, rng)
-        pop = state.population
-        if pop[i].ke < cfg.syn_thres and pop[j].ke < cfg.syn_thres:
-            return synthesis(state, spec, i, j, rng)
-        return intermolecular_collision(state, spec, i, j, rng)
+        pair = _pick_pair(state, rng)
+        m1, m2 = state.population[pair[0]], state.population[pair[1]]
+        if m1.ke < cfg.syn_thres and m2.ke < cfg.syn_thres:
+            return synthesis, pair, _synthesis_trials(state, spec, pair, rng)
+        return intermolecular_collision, pair, _collision_trials(state, spec, pair, rng)
     i = _draw_index(len(state.population), rng)
+    molecules = (i,)
     if state.population[i].inactive_degree > cfg.dec_thres:
-        return decomposition(state, spec, i, rng)
-    return on_wall_collision(state, spec, i, rng)
+        return decomposition, molecules, _decomposition_trials(state, spec, molecules, rng)
+    return on_wall_collision, molecules, _wall_trials(state, spec, molecules, rng)
 
 
 def _evaluation_decay(state, cfg, due):
@@ -386,19 +398,30 @@ def _extend_trace(trace, state, max_fes):
     return math.inf
 
 
-def _drive(state, spec, cfg, rng, observer):
-    """The reaction loop of every variant; ends with the budget spent exactly.
+def _drive(init, spec, cfg, rng, observer):
+    """One run of any variant, as a generator; it spends the budget exactly.
 
-    The config type picks the two things ACRO changes after initialization:
-    how the next reaction is chosen, and how the step size adapts. ACRO
-    feeds every best-update outcome to a SuccessRule; CRO/D decays its step
-    by the evaluation count after initialization and after every reaction;
-    the other canonical variants keep a fixed step. The loop alone meets
-    the reactions' preconditions: when a single evaluation remains, an
-    on-wall collision is forced, and a pair reaction gets two distinct
-    molecules.
+    It validates the box and makes it float64, builds the reactor with
+    ``init`` (which evaluates the initial population itself), then runs the
+    reaction loop. The loop yields each reaction's trial structures, in
+    generation order, and takes back an iterable of their PEs, which it
+    charges and checks for finiteness one by one as they arrive. The
+    generator returns the RunResult, whose wall time leaves out the
+    initialization. The config type picks the two things ACRO changes after
+    initialization: how the next reaction is chosen, and how the step size
+    adapts. ACRO feeds every best-update outcome to a SuccessRule; CRO/D
+    decays its step by the evaluation count after initialization and after
+    every reaction; the other canonical variants keep a fixed step. The
+    loop alone meets the reactions' preconditions: when a single evaluation
+    remains, an on-wall collision is forced, and a pair reaction gets two
+    distinct molecules.
     """
+    # A Generator subclass may override the replayed methods: not replayed.
+    rng = _BitDraws(rng) if type(rng) is np.random.Generator else rng
+    spec = ObjectiveSpec(*_validate_objective(spec), spec.evaluate)
+    state = init(spec, cfg, rng)
     started = time.perf_counter()
+    isfinite = math.isfinite
     max_fes = int(cfg.max_fes)
     adaptive = isinstance(cfg, ACROConfig)
     react = _react_acro if adaptive else _react_cro
@@ -411,9 +434,18 @@ def _drive(state, spec, cfg, rng, observer):
         observer(state)
     while state.fe_count < max_fes:
         if max_fes - state.fe_count == 1:
-            outcome = on_wall_collision(state, spec, _draw_index(len(state.population), rng), rng)
+            reaction, molecules = on_wall_collision, (_draw_index(len(state.population), rng),)
+            trials = _wall_trials(state, spec, molecules, rng)
         else:
-            outcome = react(state, spec, cfg, rng)
+            reaction, molecules, trials = react(state, spec, cfg, rng)
+        pes = []
+        for value in (yield trials):
+            value = float(value)
+            if not isfinite(value):  # a blown-up objective must not reach the ledger
+                raise NonFiniteObjective(f"objective returned {value!r}")
+            state.fe_count += 1
+            pes.append(value)
+        outcome = reaction(state, molecules, trials, pes, rng)
         for structure, pe in outcome.new_structures:
             improved = update_best(state, structure, pe)
             if rule is not None:
@@ -450,8 +482,14 @@ def run_cro(spec, cfg, rng, observer=None):
 
 
 def _run(init, spec, cfg, rng, observer):
-    # A Generator subclass may override the replayed methods: not replayed.
-    draws = _BitDraws(rng) if type(rng) is np.random.Generator else rng
+    evaluate = spec.evaluate
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        spec = ObjectiveSpec(*_validate_objective(spec), spec.evaluate)
-        return _drive(init(spec, cfg, draws), spec, cfg, draws, observer)
+        run = _drive(init, spec, cfg, rng, observer)
+        send = run.send
+        try:
+            trials = next(run)
+            while True:
+                # Lazy, so the loop checks each PE before the next evaluation.
+                trials = send(map(evaluate, trials))
+        except StopIteration as done:
+            return done.value

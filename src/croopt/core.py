@@ -6,8 +6,9 @@ kinetic energy (tolerance for accepting worse solutions), collision counters,
 and a per-molecule energy loss rate. The reactor owns the population, the
 central energy buffer, the evaluation counter, the best-ever record and the
 per-element step sizes. The run loop in ``algorithms`` owns the rest of a
-run: its evaluation budget, which molecules each reaction gets, and how the
-step sizes evolve. ``child_loss_rate`` is set by ACRO only.
+run: its evaluation budget, the charging of each reaction's evaluations,
+which molecules each reaction gets, and how the step sizes evolve.
+``child_loss_rate`` is set by ACRO only.
 """
 
 from __future__ import annotations

@@ -2,21 +2,24 @@
 
 An experiment is a grid of independent runs (algorithm x benchmark x seed).
 Runs are pure functions of their seed, so the whole experiment is
-reproducible regardless of how many workers execute it. Final values below
-1e-8 are reported as exactly 0; truncation happens here, never inside the
-objective.
+reproducible regardless of how many workers execute it. The seeds of one
+(algorithm, benchmark) cell run in lockstep and share one batched objective
+call per step. Final values below 1e-8 are reported as exactly 0;
+truncation happens here, never inside the objective.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import algorithms
 from .algorithms import run_acro, run_cro, validate_config
-from .benchmarks import BenchmarkInstance, as_objective
+from .benchmarks import BenchmarkInstance, as_objective, evaluate_batch
 from .core import _is_count
 from .errors import EmptyCell, ExperimentError, InvalidConfig
 
@@ -76,23 +79,87 @@ def execute_run(variant, config, instance, seed):
     rng = np.random.default_rng(seed)
     runner = run_acro if variant.adaptive else run_cro
     result = runner(as_objective(instance), config, rng)
+    return _record(config, instance, seed, result, result.wall_time)
+
+
+def _record(config, instance, seed, result, wall_time):
     return RunRecord(
-        algorithm=variant.value,
+        algorithm=config.variant.value,
         benchmark=instance.label,
         dimension=instance.dimension,
         seed=seed,
         final_raw=result.best_pe,
         trace=result.trace,
-        wall_time=result.wall_time,
+        wall_time=wall_time,
     )
 
 
+#: Set in pool workers only: the flag a grid raises when it ends early, so
+#: that the cells still running stop at their next step.
+_stop = None
+
+
+def _share_stop(flag):
+    global _stop
+    _stop = flag
+
+
 def _run_task(task):
-    config, instance, seed = task
-    try:
-        return execute_run(config.variant, config, instance, seed)
-    except Exception as exc:  # re-raised with context by the caller
-        raise ExperimentError(config.variant.value, instance.label, seed, exc) from exc
+    """Run the seeds of one (config, instance) cell, or a slice of them, in
+    lockstep.
+
+    Each run keeps its own generator and reactor. Every step stacks the
+    trial structures the live runs wait on into one evaluate_batch call (a
+    lone point takes the scalar objective), and each run gets the PEs of
+    its own points, so its draws, trace and final are those of its lone
+    run. A run that raises stops, and so do the runs after it, which a
+    serial grid would never start. Returns the records up to the first
+    failed run, in seed order, and that run's ExperimentError, or None.
+    Every record's wall time is an equal share of the cell's time.
+    """
+    config, instance, seeds = task
+    init = algorithms.acro_init if config.variant.adaptive else algorithms.cro_init
+    spec = as_objective(instance)
+    runs = [algorithms._drive(init, spec, config, np.random.default_rng(seed), None)
+            for seed in seeds]
+    outcomes = [None] * len(runs)  # a RunResult or the exception a run raised
+    owed = [None] * len(runs)  # what each run is sent next: PEs, after its start
+    live = list(range(len(runs)))
+    started = time.perf_counter()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while live:
+            if _stop is not None and _stop.value:
+                return [], None
+            waiting, points = [], []
+            for k in live:
+                try:
+                    trials = runs[k].send(owed[k])
+                except StopIteration as done:
+                    outcomes[k] = done.value
+                    continue
+                except Exception as exc:
+                    outcomes[k] = exc
+                    break
+                waiting.append((k, len(trials)))
+                points += trials
+            if len(points) == 1:
+                values = [spec.evaluate(points[0])]
+            elif points:
+                values = evaluate_batch(instance, np.array(points)).tolist()
+            at = 0
+            for k, n in waiting:
+                owed[k] = values[at:at + n]
+                at += n
+            live = [k for k, _ in waiting]
+    share = (time.perf_counter() - started) / len(runs)
+    records = []
+    for seed, outcome in zip(seeds, outcomes):
+        if isinstance(outcome, Exception):
+            error = ExperimentError(config.variant.value, instance.label, seed, outcome)
+            error.__cause__ = outcome
+            return records, error
+        records.append(_record(config, instance, seed, outcome, share))
+    return records, None
 
 
 def run_experiment(configs, benchmarks, runs, base_seed, parallelism=1, record_sink=None):
@@ -104,11 +171,16 @@ def run_experiment(configs, benchmarks, runs, base_seed, parallelism=1, record_s
     not a BenchmarkInstance, an empty config or benchmark list, a variant or
     a benchmark label listed twice, ``runs`` or ``parallelism`` not an
     integer >= 1, or ``base_seed`` not an integer >= 0 raises InvalidConfig.
-    Each cell uses seeds base_seed .. base_seed+runs-1. Records reach
-    ``record_sink`` one at a time, which lets callers persist partial
-    results; both the sink and the returned list see them in canonical
-    (config, benchmark, seed) order. The first failing run or sink call
-    raises, and the runs not yet started are cancelled.
+    Each cell uses seeds base_seed .. base_seed+runs-1 and runs them in
+    lockstep; each run's results are those of its lone run. A grid with
+    fewer cells than ``parallelism`` splits each cell into contiguous seed
+    slices, and the pool has no more workers than tasks (none for one).
+    Records reach ``record_sink`` one at a time, a cell's once it is done,
+    which lets callers persist partial results; both the sink and the
+    returned list see them in canonical (config, benchmark, seed) order.
+    The first failing run, in that order, or sink call raises, as in a
+    serial grid; cells still running stop and those not yet started are
+    cancelled.
     """
     for config in configs:
         validate_config(config)
@@ -126,27 +198,39 @@ def run_experiment(configs, benchmarks, runs, base_seed, parallelism=1, record_s
         repeated = sorted({label for label in labels if labels.count(label) > 1})
         if repeated:
             raise InvalidConfig(f"{kind} listed more than once: {', '.join(repeated)}")
+    runs, parallelism = int(runs), int(parallelism)
+    seeds = range(int(base_seed), int(base_seed) + runs)
+    cells = [(config, instance) for config in configs for instance in benchmarks]
+    slices = min(runs, -(-parallelism // len(cells)))
     tasks = [
-        (config, instance, int(base_seed) + run)
-        for config in configs
-        for instance in benchmarks
-        for run in range(runs)
+        (config, instance, seeds[k * runs // slices:(k + 1) * runs // slices])
+        for config, instance in cells
+        for k in range(slices)
     ]
+    workers = min(parallelism, len(tasks))
     records = []
     pool = None
     results = map(_run_task, tasks)
-    if parallelism > 1:
-        from concurrent.futures import ProcessPoolExecutor  # not loaded by serial runs
+    if workers > 1:
+        # Not loaded by serial runs.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import RawValue
 
-        pool = ProcessPoolExecutor(max_workers=parallelism)
+        stop = RawValue("b", 0)
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_share_stop,
+                                   initargs=(stop,))
         results = pool.map(_run_task, tasks)
     try:
-        for record in results:
-            records.append(record)
-            if record_sink is not None:
-                record_sink(record)
+        for task_records, error in results:
+            for record in task_records:
+                records.append(record)
+                if record_sink is not None:
+                    record_sink(record)
+            if error is not None:
+                raise error
     finally:
-        if pool is not None:  # a failing run or sink cancels the runs not started
+        if pool is not None:  # a failing run or sink stops the cells left
+            stop.value = 1
             pool.shutdown(cancel_futures=True)
     return summarize(records), records
 

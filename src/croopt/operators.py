@@ -120,8 +120,8 @@ def neighborhood_search(s, step_size, lower, upper, rule, rng):
     """
     out = s.copy()
     i = _draw_index(out.shape[0], rng)
-    value = out.item(i) + rng.normal(0.0, float(step_size[i]))
-    lo, hi = float(lower[i]), float(upper[i])
+    value = out.item(i) + rng.normal(0.0, step_size.item(i))
+    lo, hi = lower.item(i), upper.item(i)
     if not lo <= value <= hi:
         value = apply_boundary(value, lo, hi, rule, rng)
     out[i] = value

@@ -1,13 +1,19 @@
 """The four elementary reactions, shared verbatim by CRO and ACRO.
 
-Every reaction evaluates its trial structures unconditionally (evaluations
-are charged whether or not the reaction succeeds), then applies the energy
-criterion. Successful reactions redistribute energy exactly, so the reactor
+Each reaction comes in two halves around the evaluation of its trial
+structures. The propose half (``_wall_trials``, ``_decomposition_trials``,
+``_collision_trials``, ``_synthesis_trials``) makes every draw that comes
+before the evaluation and returns the trial structures. The run loop then
+evaluates them all and charges every evaluation, whether or not the
+reaction succeeds. The settle half, named after the reaction, takes their
+PEs, applies the energy criterion, makes every later draw and returns the
+outcome. Successful reactions redistribute energy exactly, so the reactor
 total (buffer + sum of PE + KE) is conserved; failed reactions advance only
-collision counters and the evaluation count.
+collision counters.
 
 A reaction trusts its caller, the run loop, to leave budget for its
-evaluations and to hand it in-range indices, two distinct ones for a pair.
+evaluations and to hand both halves the same ``molecules``: a tuple of one
+in-range index, or of two distinct ones for a pair.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Molecule, evaluate_and_count
+from .core import Molecule
 from .operators import decompose_structure, neighborhood_search, synthesize_structure
 
 
@@ -34,18 +40,25 @@ def _child_loss_rate(state, parent, rng):
     return parent.loss_rate
 
 
-def on_wall_collision(state, spec, index, rng):
+def _wall_trials(state, spec, molecules, rng):
+    """Propose half of :func:`on_wall_collision`: one neighbour of the molecule."""
+    (index,) = molecules
+    trial = neighborhood_search(
+        state.population[index].structure, state.step_size, spec.lower, spec.upper,
+        state.boundary_rule, rng
+    )
+    return (trial,)
+
+
+def on_wall_collision(state, molecules, trials, pes, rng):
     """A molecule hits the container wall and perturbs one element.
 
     On success the excess energy splits between the molecule's new KE and
     the central buffer: the retained fraction q is uniform on
     [loss_rate, 1], the remainder feeds the buffer.
     """
+    (index,), (trial,), (trial_pe,) = molecules, trials, pes
     mol = state.population[index]
-    trial = neighborhood_search(
-        mol.structure, state.step_size, spec.lower, spec.upper, state.boundary_rule, rng
-    )
-    trial_pe = evaluate_and_count(state, spec, trial)
     mol.num_hit += 1
     success = mol.pe + mol.ke >= trial_pe
     if success:
@@ -57,7 +70,16 @@ def on_wall_collision(state, spec, index, rng):
     return ReactionOutcome(success, [(trial, trial_pe)])
 
 
-def decomposition(state, spec, index, rng):
+def _decomposition_trials(state, spec, molecules, rng):
+    """Propose half of :func:`decomposition`: the two children."""
+    (index,) = molecules
+    return decompose_structure(
+        state.population[index].structure, state.step_size, spec.lower, spec.upper,
+        state.boundary_rule, rng
+    )
+
+
+def decomposition(state, molecules, trials, pes, rng):
     """A molecule splits into two vigorously perturbed children.
 
     The children must be paid for out of the parent's PE + KE; when that is
@@ -67,12 +89,8 @@ def decomposition(state, spec, index, rng):
     uniform draw, and child loss rates are drawn fresh where the run is
     adaptive.
     """
+    (index,), (c1, c2), (pe1, pe2) = molecules, trials, pes
     mol = state.population[index]
-    c1, c2 = decompose_structure(
-        mol.structure, state.step_size, spec.lower, spec.upper, state.boundary_rule, rng
-    )
-    pe1 = evaluate_and_count(state, spec, c1)
-    pe2 = evaluate_and_count(state, spec, c2)
     mol.num_hit += 1
     surplus = mol.pe + mol.ke - pe1 - pe2
     success = surplus >= 0.0
@@ -98,23 +116,30 @@ def decomposition(state, spec, index, rng):
     return ReactionOutcome(True, [(c1, pe1), (c2, pe2)])
 
 
-def intermolecular_collision(state, spec, i, j, rng):
+def _collision_trials(state, spec, molecules, rng):
+    """Propose half of :func:`intermolecular_collision`: a neighbour of each."""
+    i, j = molecules
+    t1 = neighborhood_search(
+        state.population[i].structure, state.step_size, spec.lower, spec.upper,
+        state.boundary_rule, rng
+    )
+    t2 = neighborhood_search(
+        state.population[j].structure, state.step_size, spec.lower, spec.upper,
+        state.boundary_rule, rng
+    )
+    return t1, t2
+
+
+def intermolecular_collision(state, molecules, trials, pes, rng):
     """Two molecules collide and both perturb one element.
 
     The pooled PE + KE of the pair must cover both new PEs; the leftover is
     redistributed between the two new KEs by a uniform split. The buffer is
     never touched.
     """
+    (i, j), (t1, t2), (pe1, pe2) = molecules, trials, pes
     m1 = state.population[i]
     m2 = state.population[j]
-    t1 = neighborhood_search(
-        m1.structure, state.step_size, spec.lower, spec.upper, state.boundary_rule, rng
-    )
-    t2 = neighborhood_search(
-        m2.structure, state.step_size, spec.lower, spec.upper, state.boundary_rule, rng
-    )
-    pe1 = evaluate_and_count(state, spec, t1)
-    pe2 = evaluate_and_count(state, spec, t2)
     m1.num_hit += 1
     m2.num_hit += 1
     pool = m1.pe + m1.ke + m2.pe + m2.ke - pe1 - pe2
@@ -126,24 +151,30 @@ def intermolecular_collision(state, spec, i, j, rng):
     return ReactionOutcome(success, [(t1, pe1), (t2, pe2)])
 
 
-def synthesis(state, spec, i, j, rng):
-    """Two molecules merge into one via the configured crossover.
-
-    Succeeds when the pooled PE + KE of the parents covers the child's PE;
-    the whole leftover becomes the child's KE, so nothing reaches the buffer.
-    """
-    m1 = state.population[i]
-    m2 = state.population[j]
+def _synthesis_trials(state, spec, molecules, rng):
+    """Propose half of :func:`synthesis`: the crossover child."""
+    i, j = molecules
     trial = synthesize_structure(
-        m1.structure,
-        m2.structure,
+        state.population[i].structure,
+        state.population[j].structure,
         state.synthesis_rule,
         spec.lower,
         spec.upper,
         rng,
         boundary_rule=state.boundary_rule,
     )
-    trial_pe = evaluate_and_count(state, spec, trial)
+    return (trial,)
+
+
+def synthesis(state, molecules, trials, pes, rng):
+    """Two molecules merge into one via the configured crossover.
+
+    Succeeds when the pooled PE + KE of the parents covers the child's PE;
+    the whole leftover becomes the child's KE, so nothing reaches the buffer.
+    """
+    (i, j), (trial,), (trial_pe,) = molecules, trials, pes
+    m1 = state.population[i]
+    m2 = state.population[j]
     m1.num_hit += 1
     m2.num_hit += 1
     pool = m1.pe + m1.ke + m2.pe + m2.ke - trial_pe

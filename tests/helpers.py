@@ -6,9 +6,20 @@ import numpy as np
 
 from croopt.algorithms import SuccessRule, draw_loss_rate
 from croopt.benchmarks import griewank, schwefel_1_2, sphere
-from croopt.core import Molecule, ObjectiveSpec, ReactorState, total_energy, update_best
+from croopt.core import (
+    Molecule,
+    ObjectiveSpec,
+    ReactorState,
+    evaluate_and_count,
+    total_energy,
+    update_best,
+)
 from croopt.operators import BoundaryRule, SynthesisRule
 from croopt.reactions import (
+    _collision_trials,
+    _decomposition_trials,
+    _synthesis_trials,
+    _wall_trials,
     decomposition,
     intermolecular_collision,
     on_wall_collision,
@@ -18,6 +29,28 @@ from croopt.reactions import (
 #: The four reactions, and the two of them that take a pair of molecules.
 REACTIONS = (on_wall_collision, decomposition, intermolecular_collision, synthesis)
 PAIR_REACTIONS = (intermolecular_collision, synthesis)
+
+#: Each reaction's propose half, keyed by the reaction (its settle half).
+PROPOSE = {
+    on_wall_collision: _wall_trials,
+    decomposition: _decomposition_trials,
+    intermolecular_collision: _collision_trials,
+    synthesis: _synthesis_trials,
+}
+
+
+def react(reaction, state, spec, *molecules_and_rng):
+    """One whole reaction as the run loop makes it, on one molecule or a pair.
+
+    Its propose half draws the trial structures, each is evaluated and
+    charged in turn, and its settle half takes their PEs; returns the
+    settle half's outcome.
+    """
+    *molecules, rng = molecules_and_rng
+    molecules = tuple(molecules)
+    trials = PROPOSE[reaction](state, spec, molecules, rng)
+    pes = [evaluate_and_count(state, spec, trial) for trial in trials]
+    return reaction(state, molecules, trials, pes, rng)
 
 
 class ScriptedRNG:
@@ -129,7 +162,7 @@ def conservation_trial(kind, rng):
     )
     before = total_energy(state)
     indices = (0, 1) if kind in PAIR_REACTIONS else (0,)
-    outcome = kind(state, spec, *indices, rng)
+    outcome = react(kind, state, spec, *indices, rng)
     after = total_energy(state)
     rel_err = abs(after - before) / max(abs(before), abs(after), 1.0)
     return outcome.success, rel_err

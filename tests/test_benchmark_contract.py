@@ -11,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from croopt.algorithms import default_config, on_wall_collision, run_acro
+from croopt.algorithms import default_config, run_acro
 from croopt.benchmarks import as_objective, make_instance
 from croopt.harness import execute_run
+
+from helpers import PAIR_REACTIONS, REACTIONS, react
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -60,5 +62,10 @@ def test_benchmark_reads_run_instance_and_outcome_fields():
     record = execute_run(cfg.variant, cfg, inst, 0)
     for name in ("trace", "final_raw", "wall_time"):
         getattr(record, name)
-    outcome = on_wall_collision(result.state, as_objective(inst), 0, np.random.default_rng(0))
-    assert isinstance(outcome.success, bool)
+    # The benchmark counts successes on what each reaction's settle half,
+    # the function the run loop calls by name, returns.
+    rng = np.random.default_rng(0)
+    for reaction in REACTIONS:
+        molecules = (0, 1) if reaction in PAIR_REACTIONS else (0,)
+        outcome = react(reaction, result.state, as_objective(inst), *molecules, rng)
+        assert isinstance(outcome.success, bool)

@@ -10,7 +10,7 @@ from croopt.core import evaluate_and_count, total_energy, update_best
 from croopt.errors import NonFiniteObjective
 from croopt.reactions import on_wall_collision
 
-from helpers import LedgerObserver, const_objective, make_state, molecule
+from helpers import LedgerObserver, const_objective, make_state, molecule, react
 
 
 def test_shifted_sphere_at_shift_is_zero():
@@ -138,7 +138,7 @@ def test_rejected_reaction_leaves_state_bit_identical():
     mols = [molecule(np.linspace(-1, 1, 4), 10.0, 5.0), molecule(np.ones(4), 3.0, 0.0)]
     state = make_state(mols, buffer=2.5)
     snapshot = [(m.structure.copy(), m.pe, m.ke) for m in mols]
-    outcome = on_wall_collision(state, spec, 0, np.random.default_rng(0))
+    outcome = react(on_wall_collision, state, spec, 0, np.random.default_rng(0))
     assert outcome.success is False
     assert state.buffer == 2.5
     assert state.fe_count == 1

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import croopt
-from croopt import harness
+from croopt import algorithms, harness
 from croopt.algorithms import ACROConfig, Variant, default_config
-from croopt.benchmarks import TransformData, make_instance
+from croopt.benchmarks import TransformData, as_objective, make_instance
 from croopt.cli import main
 from croopt.errors import EmptyCell, ExperimentError, InvalidConfig, NonFiniteObjective
 from croopt.harness import (
@@ -162,6 +162,155 @@ def test_run_experiment_is_parallelism_invariant():
         assert a.trace == b.trace
 
 
+def _step_count(config, instance, seed):
+    """How many reactions a lone run makes: its observer calls but the first."""
+    calls = []
+    run = algorithms.run_acro if config.variant.adaptive else algorithms.run_cro
+    run(as_objective(instance), config, np.random.default_rng(seed), observer=calls.append)
+    return len(calls) - 1
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_lockstep_cells_give_the_records_of_lone_runs(runs):
+    # Every variant on f1 and on f16, whose rotation the batch applies as a
+    # stack of gemv calls. Runs spend their budget in different numbers of
+    # reactions (two evaluations for a pair collision or a decomposition,
+    # one otherwise), so the runs of a three-run cell leave it one by one.
+    instances = [make_instance("f1", 6, SEED), make_instance("f16", 6, SEED)]
+    configs = [default_config(variant, 600) for variant in Variant]
+    _, records = run_experiment(configs, instances, runs=runs, base_seed=11)
+    assert len(records) == len(configs) * len(instances) * runs
+    cells = {}
+    for rec in records:
+        config = next(c for c in configs if c.variant.value == rec.algorithm)
+        instance = next(i for i in instances if i.label == rec.benchmark)
+        alone = execute_run(config.variant, config, instance, rec.seed)
+        assert (rec.seed, rec.final_raw, rec.trace) == (alone.seed, alone.final_raw, alone.trace)
+        cells.setdefault((rec.algorithm, rec.benchmark), []).append(
+            _step_count(config, instance, rec.seed))
+    if runs > 1:
+        assert all(len(set(steps)) > 1 for steps in cells.values())
+
+
+class _StubPool:
+    """Stands in for ProcessPoolExecutor: records its worker count and the
+    seed slice of every task, and runs the tasks here, in order."""
+
+    made = []
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        self.tasks = []
+        _StubPool.made.append((max_workers, self.tasks))
+
+    def map(self, fn, tasks):
+        for task in tasks:
+            self.tasks.append(list(task[2]))
+            yield fn(task)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("parallelism, n_algos, n_funcs, runs, workers, slices", [
+    (64, 1, 1, 1, None, 1),  # one run forks no worker at all
+    (64, 1, 1, 3, 3, 3),  # a lone cell splits into its three seeds
+    (4, 1, 2, 3, 4, 2),  # two cells, split in two: four tasks for four workers
+    (3, 1, 2, 2, 3, 2),
+    (2, 7, 6, 2, 2, 1),  # 42 cells keep two workers busy whole
+])
+def test_pool_workers_are_capped_at_the_tasks(monkeypatch, parallelism, n_algos,
+                                              n_funcs, runs, workers, slices):
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _StubPool)
+    monkeypatch.setattr(_StubPool, "made", [])
+    configs = [default_config(variant, 40) for variant in list(Variant)[:n_algos]]
+    instances = [make_instance(f, 3, SEED) for f in ("f1", "f5", "f8", "f12", "f15", "f18")]
+    instances = instances[:n_funcs]
+    _, records = run_experiment(configs, instances, runs=runs, base_seed=7,
+                                parallelism=parallelism)
+    _, serial = run_experiment(configs, instances, runs=runs, base_seed=7)
+    assert [(r.algorithm, r.benchmark, r.seed, r.trace) for r in records] == [
+        (r.algorithm, r.benchmark, r.seed, r.trace) for r in serial]
+    if workers is None:
+        assert _StubPool.made == []
+        return
+    [(max_workers, tasks)] = _StubPool.made
+    assert max_workers == workers
+    # Each cell's seeds, split into contiguous slices in order.
+    cell_tasks = [tasks[k:k + slices] for k in range(0, len(tasks), slices)]
+    assert len(cell_tasks) == n_algos * n_funcs
+    for parts in cell_tasks:
+        assert all(parts)
+        assert [seed for part in parts for seed in part] == list(range(7, 7 + runs))
+
+
+def _failing_below(limit):
+    """update_best, as the run loop calls it, failing an adaptive run (one
+    that draws its children's loss rates) once a trial PE falls below
+    ``limit``."""
+    update_best = algorithms.update_best
+
+    def flaky(state, candidate, pe):
+        if state.child_loss_rate is not None and pe < limit:
+            raise RuntimeError(f"trial PE {pe!r} below {limit!r}")
+        return update_best(state, candidate, pe)
+
+    return flaky
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_failures_inside_a_cell_end_the_grid_as_a_serial_grid(
+        tmp_path, monkeypatch, capsys, parallel):
+    # Half of the ACRO/BP seeds fail, each at its own step, after CRO/BP,
+    # the first cell, delivers all of its records. A serial grid of lone runs
+    # stops at the first failure in canonical order; the lockstep grid must
+    # deliver the same records before naming the same run, though here seed
+    # 5 fails first in time (at its 40th evaluation, seed 3 at its 71st).
+    instance = make_instance("f1", 5, SEED)
+    acro = default_config("ACRO/BP", 1000)
+    finals = sorted(execute_run(acro.variant, acro, instance, seed).final_raw
+                    for seed in range(6))
+    monkeypatch.setattr(algorithms, "update_best", _failing_below(finals[3]))
+    configs = [default_config("CRO/BP", 1000), acro]
+    expected, failed = [], None
+    for config in configs:
+        for seed in range(6):
+            try:
+                expected.append(execute_run(config.variant, config, instance, seed))
+            except RuntimeError:
+                failed = (config.variant.value, "f1", seed)
+                break
+        if failed:
+            break
+    assert failed[0] == "ACRO/BP" and len(expected) >= 6
+
+    def same(records):
+        return [(r.algorithm, r.benchmark, r.seed, r.final_raw, r.trace) for r in records]
+
+    seen = []
+    with pytest.raises(ExperimentError) as err:
+        run_experiment(configs, [instance], runs=6, base_seed=0,
+                       parallelism=int(parallel), record_sink=seen.append)
+    assert (err.value.algorithm, err.value.benchmark, err.value.seed) == failed
+    assert isinstance(err.value.cause, RuntimeError)
+    assert same(seen) == same(expected)
+
+    out = tmp_path / "out"
+    code = main(["run", "--algo", "CRO/BP,ACRO/BP", "--func", "f1", "--dim", "5",
+                 "--runs", "6", "--max-fes", "1000", "--transform-seed", str(SEED),
+                 "--parallel", parallel, "--out", str(out)])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "{} on {} (seed {})".format(*failed) in error["message"]
+    partial = [json.loads(line) for line in
+               (out / "records.partial.jsonl").read_text().splitlines()]
+    for line in partial:
+        del line["wall_time"]
+    wanted = [json.loads(r.to_json()) for r in expected]
+    for line in wanted:
+        del line["wall_time"]
+    assert partial == wanted
+
+
 def _fresh_interpreter_env():
     """The environment of a fresh interpreter that imports this croopt."""
     src = str(Path(croopt.__file__).resolve().parents[1])
@@ -202,7 +351,8 @@ def test_run_experiment_orders_records_canonically():
 
 def test_run_experiment_wraps_failures_with_context():
     # Under parallelism the error is pickled back from a worker process and
-    # must arrive as the same ExperimentError, not as a broken pool. The
+    # must arrive as the same ExperimentError, not as a broken pool. Two
+    # runs, so that the one cell splits into a task per worker. The
     # overflow itself warns nothing: the error reports it.
     inst = overflow_instance("f1")
     for parallelism in (1, 2):
@@ -210,7 +360,7 @@ def test_run_experiment_wraps_failures_with_context():
             warnings.simplefilter("always")
             with pytest.raises(ExperimentError) as err:
                 run_experiment(
-                    [default_config("ACRO/BP", 500)], [inst], runs=1, base_seed=9,
+                    [default_config("ACRO/BP", 500)], [inst], runs=2, base_seed=9,
                     parallelism=parallelism,
                 )
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
@@ -290,10 +440,10 @@ def test_run_experiment_streams_records_to_sink():
 
 
 def test_run_experiment_cancels_queued_runs_after_a_failure():
-    # 30 failing runs sit ahead of 30 good ones. Reporting the first failure
-    # must not wait for the queue: only the few good runs already handed to
-    # a worker may still finish, against the 15 run-times the queue takes
-    # on two workers.
+    # A cell of 30 failing runs sits ahead of a cell of 30 good ones, and a
+    # worker starts each. Reporting the first failure must not wait for the
+    # good cell: it stops at its next step, against the 15 run-times its
+    # runs take on two workers.
     inst = make_instance("f1", 10, SEED)
     good = ACROConfig(variant=Variant.ACRO_HP, max_fes=20_000)
     started = time.perf_counter()
@@ -318,9 +468,10 @@ def _logged_run_task(log, task, run_task=harness._run_task):
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_run_experiment_cancels_queued_runs_after_a_sink_failure(
         tmp_path, monkeypatch, parallelism):
-    # The sink fails on its first record, as a full disk would. Each run
-    # that starts leaves one mark in the log; only the runs already handed
-    # to a worker may still start, not the rest of the 40-run queue.
+    # The sink fails on its first record, as a full disk would. Each task
+    # that starts leaves one mark in the log; the 40 runs of the one cell
+    # make one task serially and one seed slice per worker in the pool, and
+    # no more may start.
     log = tmp_path / "started"
     monkeypatch.setattr(harness, "_run_task", partial(_logged_run_task, log))
 
@@ -397,12 +548,12 @@ def test_cli_help_still_exits_zero(capsys):
 
 def test_cli_reports_worker_failures_as_one_json_line(tmp_path, capfd):
     # A finite shift of 1e308 passes every check made before the grid
-    # starts; the run then fails inside a pool worker at its first
-    # evaluation, where the objective overflows to inf.
+    # starts; each of the two runs then fails inside a pool worker at its
+    # first evaluation, where the objective overflows to inf.
     (tmp_path / "f1_shift.txt").write_text(" ".join(["1e308"] * 10))
     code = main([
         "run", "--algo", "ACRO/BP", "--func", "f1", "--dim", "10",
-        "--runs", "1", "--max-fes", "500", "--parallel", "2",
+        "--runs", "2", "--max-fes", "500", "--parallel", "2",
         "--out", str(tmp_path / "out"), "--cec-data", str(tmp_path),
     ])
     assert code == 1
@@ -418,10 +569,11 @@ def test_cli_reports_worker_failures_as_one_json_line(tmp_path, capfd):
 def test_cli_overflow_writes_only_the_json_line_to_stderr(tmp_path, parallel):
     # A fresh interpreter, as a user runs it: nothing captures numpy's
     # warnings there, so any would land on stderr next to the error line.
+    # Two runs, so that --parallel 2 starts two workers.
     (tmp_path / "f1_shift.txt").write_text(" ".join(["1e308"] * 10))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from croopt.cli import main; sys.exit(main())",
-         "run", "--algo", "ACRO/BP", "--func", "f1", "--dim", "10", "--runs", "1",
+         "run", "--algo", "ACRO/BP", "--func", "f1", "--dim", "10", "--runs", "2",
          "--max-fes", "500", "--parallel", parallel, "--out", str(tmp_path / "out"),
          "--cec-data", str(tmp_path)],
         capture_output=True, text=True, env=_fresh_interpreter_env(), timeout=120,

@@ -8,8 +8,9 @@ call without moving the stream, a run's scalar draws replayed on the bit
 generator give the values and state of the Generator's own methods (and
 its errors), the objective's ndarray.dot and cached index vectors give the
 bits of `@` and a fresh np.arange, the run's bound objective gives the bits
-of evaluate_benchmark, and u_penalty's early return gives the bits of its
-full formula. They also keep repaired points inside the box under both
+of evaluate_benchmark, the batched objective gives every row the bits of
+that row's own evaluation, and u_penalty's early return gives the bits of
+its full formula. They also keep repaired points inside the box under both
 boundary rules, check that random reaction sequences conserve buffer +
 sum(PE + KE), check that the run loop meets every reaction's preconditions
 (budget, indices, population size) and spends its budget exactly, and check
@@ -29,6 +30,7 @@ from croopt.algorithms import ACROConfig, CROConfig, SuccessRule, Variant, draw_
 from croopt.benchmarks import (
     FUNCTION_TABLE,
     as_objective,
+    evaluate_batch,
     evaluate_benchmark,
     make_instance,
     u_penalty,
@@ -53,6 +55,7 @@ from helpers import (
     ReferenceWindow,
     make_state,
     molecule,
+    react,
     reference_evaluate,
     reference_u_penalty,
     sphere_objective,
@@ -285,6 +288,50 @@ def test_objective_matches_reference_spellings(func_id, dim, seed, spread, strid
             assert bits(inst.base(x)) == bits(REFERENCE_BASES[inst.base](x))
 
 
+@pytest.mark.parametrize("func_id", [fdef.id for fdef in FUNCTION_TABLE],
+                         ids=lambda func_id: f"f{func_id}")
+@settings(SETTINGS, max_examples=40)
+@given(
+    dim=st.integers(min_value=1, max_value=50),
+    rows=st.lists(st.sampled_from(["inside", "on", "outside", "anywhere"]),
+                  min_size=1, max_size=64),
+    seed=seeds,
+)
+@example(dim=1, rows=["inside"], seed=0)
+@example(dim=50, rows=["on"] * 64, seed=1)
+@example(dim=10, rows=["inside", "on", "outside", "anywhere"] * 1024, seed=2)
+def test_batch_evaluation_gives_every_row_its_own_bits(func_id, dim, rows, seed):
+    # Rows are built in z-space around u_penalty's box [-a, a] (f21/f22 use
+    # a = 5, f23/f24 a = 10): inside it, with an element on its edge (up to
+    # the rounding of the inverse transform), or with one beyond it; or
+    # anywhere in the search box. A batch of inside rows takes u_penalty's
+    # early return, a mixed one its formula. Some spellings part in the
+    # last bit for about 0.1% of inputs only (a numpy scalar's ** calls
+    # pow(), an array's ** multiplies), which the 4096-row example shows.
+    key = (func_id, dim)
+    if key not in _INSTANCES:
+        _INSTANCES[key] = make_instance(func_id, dim)
+    inst = _INSTANCES[key]
+    transform = inst.transform
+    rng = np.random.default_rng(seed)
+    a = 5.0 if func_id in (21, 22) else 10.0
+    points = []
+    for kind in rows:
+        if kind == "anywhere":
+            points.append(rng.uniform(-100.0, 100.0, dim))
+            continue
+        z = rng.uniform(-a, a, dim)
+        if kind != "inside":
+            edge = a if kind == "on" else a * rng.uniform(1.0, 4.0)
+            z[rng.integers(dim)] = edge * rng.choice([-1.0, 1.0])
+        points.append(transform.rotation.T @ (z / transform.scale) + transform.shift)
+    batch = np.array(points)
+    values = evaluate_batch(inst, batch)
+    assert values.shape == (len(rows),)
+    for value, x in zip(values, batch):
+        assert bits(value) == bits(evaluate_benchmark(inst, x))
+
+
 @SETTINGS
 @given(seed=seeds, box=intervals(), value=finite, rule=rules)
 def test_apply_boundary_lands_in_the_box(seed, box, value, rule):
@@ -338,12 +385,12 @@ def _react(kind, state, spec, picks, rng):
     i = picks % n
     j = (i + 1 + (picks // n) % (n - 1)) % n if n > 1 else i
     if kind == "on-wall":
-        return on_wall_collision(state, spec, i, rng)
+        return react(on_wall_collision, state, spec, i, rng)
     if kind == "decomposition":
-        return decomposition(state, spec, i, rng)
+        return react(decomposition, state, spec, i, rng)
     if kind == "inter-molecular":
-        return intermolecular_collision(state, spec, i, j, rng)
-    return synthesis(state, spec, i, j, rng)
+        return react(intermolecular_collision, state, spec, i, j, rng)
+    return react(synthesis, state, spec, i, j, rng)
 
 
 @SETTINGS
@@ -399,15 +446,17 @@ LOOP_REACTIONS = {
 
 
 def _checked(reaction, cost, max_fes):
-    def call(state, spec, *args):
-        *indices, _ = args
+    # The loop calls the settle half once it has charged every trial
+    # structure, so the budget must still hold after that charge.
+    def call(state, indices, trials, pes, rng):
         size = len(state.population)
-        assert state.fe_count + cost <= max_fes, "reaction costs more than remains"
+        assert len(trials) == len(pes) == cost, f"{len(pes)} PEs for a cost of {cost}"
+        assert state.fe_count <= max_fes, "reaction cost more than remained"
         assert all(0 <= i < size for i in indices), f"index out of {size}: {indices}"
         if len(indices) == 2:
             assert indices[0] != indices[1], f"pair of one molecule: {indices}"
             assert size >= 2
-        return reaction(state, spec, *args)
+        return reaction(state, indices, trials, pes, rng)
     return call
 
 

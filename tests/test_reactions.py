@@ -20,6 +20,7 @@ from helpers import (
     make_state,
     molecule,
     queue_objective,
+    react,
     sphere_objective,
 )
 
@@ -28,7 +29,7 @@ def test_on_wall_failure_when_trial_exceeds_tolerance():
     spec = const_objective(3, 20.0)
     mol = molecule(np.zeros(3), 10.0, 5.0)
     state = make_state([mol])
-    outcome = on_wall_collision(state, spec, 0, np.random.default_rng(0))
+    outcome = react(on_wall_collision, state, spec, 0, np.random.default_rng(0))
     assert outcome.success is False
     assert mol.pe == 10.0 and mol.ke == 5.0
     assert np.array_equal(mol.structure, np.zeros(3))
@@ -43,7 +44,7 @@ def test_on_wall_energy_split_with_forced_q():
     mol = molecule(np.zeros(3), 10.0, 5.0, loss_rate=0.1)
     state = make_state([mol])
     rng = ScriptedRNG(integers=[0], normal=[0.5], random=[1 / 3])
-    outcome = on_wall_collision(state, spec, 0, rng)
+    outcome = react(on_wall_collision, state, spec, 0, rng)
     assert outcome.success is True
     assert mol.pe == 12.0
     assert mol.ke == pytest.approx(1.2, rel=1e-12)
@@ -62,7 +63,7 @@ def test_on_wall_retained_fraction_mean():
     for _ in range(10_000):
         mol.ke = 1e9  # guarantee success
         pe_before, ke_before = mol.pe, mol.ke
-        outcome = on_wall_collision(state, spec, 0, rng)
+        outcome = react(on_wall_collision, state, spec, 0, rng)
         assert outcome.success
         excess = pe_before + ke_before - mol.pe
         ratios.append(mol.ke / excess)
@@ -75,7 +76,7 @@ def test_on_wall_success_monotone_in_ke():
     for ke in np.linspace(0.0, 15.0, 16):
         mol = molecule(np.zeros(2), 10.0, float(ke))
         state = make_state([mol])
-        outcome = on_wall_collision(state, spec, 0, np.random.default_rng(5))
+        outcome = react(on_wall_collision, state, spec, 0, np.random.default_rng(5))
         succeeded.append(outcome.success)
     assert succeeded == sorted(succeeded)  # False... then True...
     assert succeeded[-1] is True and succeeded[0] is False
@@ -86,9 +87,9 @@ def test_on_wall_tracks_own_best():
     mol = molecule(np.zeros(2), 10.0, 100.0)
     state = make_state([mol])
     rng = np.random.default_rng(2)
-    on_wall_collision(state, spec, 0, rng)
+    react(on_wall_collision, state, spec, 0, rng)
     assert mol.min_pe == 4.0 and mol.min_hit == 1
-    on_wall_collision(state, spec, 0, rng)  # worse but accepted via KE
+    react(on_wall_collision, state, spec, 0, rng)  # worse but accepted via KE
     assert mol.pe == 7.0
     assert mol.min_pe == 4.0 and mol.min_hit == 1
     assert mol.num_hit == 2
@@ -98,7 +99,7 @@ def test_decomposition_surplus_split_without_buffer():
     spec = queue_objective(4, [4.0, 5.0])
     parent = molecule(np.zeros(4), 10.0, 0.0)
     state = make_state([parent], buffer=0.0)
-    outcome = decomposition(state, spec, 0, np.random.default_rng(3))
+    outcome = react(decomposition, state, spec, 0, np.random.default_rng(3))
     assert outcome.success is True
     assert len(state.population) == 2
     kes = sorted(m.ke for m in state.population)
@@ -115,7 +116,7 @@ def test_decomposition_fails_with_empty_buffer():
     spec = queue_objective(4, [8.0, 9.0])
     parent = molecule(np.zeros(4), 10.0, 0.0)
     state = make_state([parent], buffer=0.0)
-    outcome = decomposition(state, spec, 0, np.random.default_rng(4))
+    outcome = react(decomposition, state, spec, 0, np.random.default_rng(4))
     assert outcome.success is False
     assert len(state.population) == 1
     assert parent.num_hit == 1
@@ -126,7 +127,7 @@ def test_decomposition_buffer_covers_exactly_the_deficit():
     spec = queue_objective(4, [8.0, 9.0])
     parent = molecule(np.zeros(4), 10.0, 0.0)
     state = make_state([parent], buffer=1000.0)
-    outcome = decomposition(state, spec, 0, np.random.default_rng(5))
+    outcome = react(decomposition, state, spec, 0, np.random.default_rng(5))
     assert outcome.success is True
     assert state.buffer == pytest.approx(993.0, rel=1e-12)
     assert all(m.ke == 0.0 for m in state.population)
@@ -136,7 +137,7 @@ def test_decomposition_with_zero_energy_succeeds_iff_children_cheaper():
     for pes, expected in (([4.0, 6.0], True), ([4.0, 6.5], False)):
         spec = queue_objective(4, pes)
         state = make_state([molecule(np.zeros(4), 10.0, 0.0)], buffer=0.0)
-        outcome = decomposition(state, spec, 0, np.random.default_rng(6))
+        outcome = react(decomposition, state, spec, 0, np.random.default_rng(6))
         assert outcome.success is expected
 
 
@@ -144,7 +145,7 @@ def test_decomposition_redraws_child_loss_rates_when_adaptive():
     spec = queue_objective(4, [1.0, 1.0])
     parent = molecule(np.zeros(4), 10.0, 0.0, loss_rate=0.77)
     state = make_state([parent], child_loss_rate=draw_loss_rate)
-    decomposition(state, spec, 0, np.random.default_rng(7))
+    react(decomposition, state, spec, 0, np.random.default_rng(7))
     rates = [m.loss_rate for m in state.population]
     assert all(0.0 <= r <= 1.0 for r in rates)
     assert all(r != 0.77 for r in rates)
@@ -154,7 +155,7 @@ def test_decomposition_children_inherit_global_loss_rate_when_canonical():
     spec = queue_objective(4, [1.0, 1.0])
     parent = molecule(np.zeros(4), 10.0, 0.0, loss_rate=0.1)
     state = make_state([parent], child_loss_rate=None)
-    decomposition(state, spec, 0, np.random.default_rng(8))
+    react(decomposition, state, spec, 0, np.random.default_rng(8))
     assert all(m.loss_rate == 0.1 for m in state.population)
 
 
@@ -162,7 +163,7 @@ def test_intermolecular_failure_when_pool_insufficient():
     spec = const_objective(3, 50.0)
     mols = [molecule(np.zeros(3), 10.0, 1.0), molecule(np.ones(3), 12.0, 2.0)]
     state = make_state(mols)
-    outcome = intermolecular_collision(state, spec, 0, 1, np.random.default_rng(9))
+    outcome = react(intermolecular_collision, state, spec, 0, 1, np.random.default_rng(9))
     assert outcome.success is False
     assert mols[0].ke == 1.0 and mols[1].ke == 2.0
     assert mols[0].num_hit == 1 and mols[1].num_hit == 1
@@ -173,7 +174,7 @@ def test_intermolecular_preserves_total_ke_when_pes_unchanged():
     spec = queue_objective(3, [10.0, 12.0])
     mols = [molecule(np.zeros(3), 10.0, 1.5), molecule(np.ones(3), 12.0, 2.5)]
     state = make_state(mols)
-    outcome = intermolecular_collision(state, spec, 0, 1, np.random.default_rng(10))
+    outcome = react(intermolecular_collision, state, spec, 0, 1, np.random.default_rng(10))
     assert outcome.success is True
     assert mols[0].ke + mols[1].ke == pytest.approx(4.0, rel=1e-12)
 
@@ -189,7 +190,7 @@ def test_intermolecular_never_touches_buffer():
         for m in mols:
             m.pe = spec.evaluate(m.structure)
         state = make_state(mols, buffer=42.5)
-        intermolecular_collision(state, spec, 0, 1, rng)
+        react(intermolecular_collision, state, spec, 0, 1, rng)
         assert state.buffer == 42.5
 
 
@@ -197,7 +198,7 @@ def test_synthesis_child_keeps_leftover_energy():
     spec = const_objective(3, 9.0)
     mols = [molecule(np.zeros(3), 3.0, 2.0), molecule(np.ones(3), 4.0, 1.0)]
     state = make_state(mols)
-    outcome = synthesis(state, spec, 0, 1, np.random.default_rng(12))
+    outcome = react(synthesis, state, spec, 0, 1, np.random.default_rng(12))
     assert outcome.success is True
     assert len(state.population) == 1
     child = state.population[0]
@@ -210,7 +211,7 @@ def test_synthesis_failure_keeps_parents():
     spec = const_objective(3, 100.0)
     mols = [molecule(np.zeros(3), 3.0, 2.0), molecule(np.ones(3), 4.0, 1.0)]
     state = make_state(mols)
-    outcome = synthesis(state, spec, 0, 1, np.random.default_rng(13))
+    outcome = react(synthesis, state, spec, 0, 1, np.random.default_rng(13))
     assert outcome.success is False
     assert len(state.population) == 2
     assert all(m.num_hit == 1 for m in state.population)
@@ -237,13 +238,13 @@ def test_failed_reactions_still_charge_their_evaluations():
     mols = [molecule(np.zeros(3), 3.0, 0.0), molecule(np.ones(3), 4.0, 0.0)]
     state = make_state(mols, buffer=0.0)
     rng = np.random.default_rng(17)
-    on_wall_collision(state, spec, 0, rng)
+    react(on_wall_collision, state, spec, 0, rng)
     assert state.fe_count == 1
-    decomposition(state, spec, 0, rng)
+    react(decomposition, state, spec, 0, rng)
     assert state.fe_count == 3
-    intermolecular_collision(state, spec, 0, 1, rng)
+    react(intermolecular_collision, state, spec, 0, 1, rng)
     assert state.fe_count == 5
-    synthesis(state, spec, 0, 1, rng)
+    react(synthesis, state, spec, 0, 1, rng)
     assert state.fe_count == 6
 
 
@@ -272,7 +273,7 @@ def test_population_delta_contract():
         size = len(state.population)
         kind = REACTIONS[rng.choice(len(REACTIONS))]
         indices = (0, 1) if kind in PAIR_REACTIONS else (0,)
-        outcome = kind(state, spec, *indices, rng)
+        outcome = react(kind, state, spec, *indices, rng)
         key = (kind, outcome.success)
         assert len(state.population) - size == POPULATION_CHANGE[key], key
         seen.add(key)
