@@ -39,10 +39,7 @@ from .core import (
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteObjective
 from .operators import BoundaryRule, SynthesisRule, _BitDraws, _draw_index
 from .reactions import (
-    _collision_trials,
-    _decomposition_trials,
-    _synthesis_trials,
-    _wall_trials,
+    _PROPOSE,
     decomposition,
     intermolecular_collision,
     on_wall_collision,
@@ -340,22 +337,18 @@ def _pick_pair(state, rng):
     return i, j
 
 
-def _react_acro(state, spec, cfg, rng):
+def _react_acro(state, cfg, rng):
     """ACRO: the feedback scheme picks the reaction, then its molecules.
 
-    Returns the reaction, its molecules and its trial structures.
+    Returns the reaction and its molecules.
     """
     reaction = select_reaction_acro(state, cfg, rng)
     if reaction is on_wall_collision or reaction is decomposition:
-        molecules = (_draw_index(len(state.population), rng),)
-        propose = _wall_trials if reaction is on_wall_collision else _decomposition_trials
-    else:
-        molecules = _pick_pair(state, rng)
-        propose = _synthesis_trials if reaction is synthesis else _collision_trials
-    return reaction, molecules, propose(state, spec, molecules, rng)
+        return reaction, (_draw_index(len(state.population), rng),)
+    return reaction, _pick_pair(state, rng)
 
 
-def _react_cro(state, spec, cfg, rng):
+def _react_cro(state, cfg, rng):
     """Canonical CRO: the threshold scheme picks the reaction.
 
     A coll_rate draw picks uni- vs inter-molecular and the molecules are
@@ -367,13 +360,12 @@ def _react_cro(state, spec, cfg, rng):
         pair = _pick_pair(state, rng)
         m1, m2 = state.population[pair[0]], state.population[pair[1]]
         if m1.ke < cfg.syn_thres and m2.ke < cfg.syn_thres:
-            return synthesis, pair, _synthesis_trials(state, spec, pair, rng)
-        return intermolecular_collision, pair, _collision_trials(state, spec, pair, rng)
+            return synthesis, pair
+        return intermolecular_collision, pair
     i = _draw_index(len(state.population), rng)
-    molecules = (i,)
     if state.population[i].inactive_degree > cfg.dec_thres:
-        return decomposition, molecules, _decomposition_trials(state, spec, molecules, rng)
-    return on_wall_collision, molecules, _wall_trials(state, spec, molecules, rng)
+        return decomposition, (i,)
+    return on_wall_collision, (i,)
 
 
 def _evaluation_decay(state, cfg, due):
@@ -404,12 +396,13 @@ def _drive(init, spec, cfg, rng, observer):
     It validates the box and makes it float64, builds the reactor with
     ``init`` (which evaluates the initial population itself), then runs the
     reaction loop. The loop yields each reaction's trial structures, in
-    generation order, and takes back an iterable of their PEs, which it
-    charges and checks for finiteness one by one as they arrive. The
-    generator returns the RunResult, whose wall time leaves out the
-    initialization. The config type picks the two things ACRO changes after
-    initialization: how the next reaction is chosen, and how the step size
-    adapts. ACRO feeds every best-update outcome to a SuccessRule; CRO/D
+    generation order, and takes back an iterable of their PEs. It charges
+    each PE as it arrives, checks it for finiteness and updates the
+    best-ever from it, whether or not the reaction then succeeds, before
+    the reaction's settle half runs. The generator returns the RunResult,
+    whose wall time leaves out the initialization. The config type picks
+    the two things ACRO changes after initialization: how the next reaction
+    is chosen, and how the step size adapts. ACRO feeds every best-update outcome to a SuccessRule; CRO/D
     decays its step by the evaluation count after initialization and after
     every reaction; the other canonical variants keep a fixed step. The
     loop alone meets the reactions' preconditions: when a single evaluation
@@ -432,24 +425,26 @@ def _drive(init, spec, cfg, rng, observer):
     next_checkpoint = _extend_trace(trace, state, max_fes)
     if observer is not None:
         observer(state)
+    # Each reaction's propose half, keyed by the reaction as this module
+    # names it now, which a caller may have wrapped.
+    propose = {globals()[settle.__name__]: half for settle, half in _PROPOSE.items()}
     while state.fe_count < max_fes:
         if max_fes - state.fe_count == 1:
             reaction, molecules = on_wall_collision, (_draw_index(len(state.population), rng),)
-            trials = _wall_trials(state, spec, molecules, rng)
         else:
-            reaction, molecules, trials = react(state, spec, cfg, rng)
+            reaction, molecules = react(state, cfg, rng)
+        trials = propose[reaction](state, spec, molecules, rng)
         pes = []
-        for value in (yield trials):
+        for structure, value in zip(trials, (yield trials)):
             value = float(value)
             if not isfinite(value):  # a blown-up objective must not reach the ledger
                 raise NonFiniteObjective(f"objective returned {value!r}")
             state.fe_count += 1
             pes.append(value)
-        outcome = reaction(state, molecules, trials, pes, rng)
-        for structure, pe in outcome.new_structures:
-            improved = update_best(state, structure, pe)
+            improved = update_best(state, structure, value)
             if rule is not None:
                 rule.record(state, improved)
+        reaction(state, molecules, trials, pes, rng)
         if state.fe_count >= next_decay:
             next_decay = _evaluation_decay(state, cfg, next_decay)
         if state.fe_count >= next_checkpoint:

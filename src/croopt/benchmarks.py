@@ -289,13 +289,14 @@ def make_instance(func_id, dim, transform_seed=DEFAULT_TRANSFORM_SEED,
 
 
 def evaluate_benchmark(inst, x):
-    """Apply the instance's transform and base formula at ``x`` (pure)."""
+    """Apply the instance's transform and base formula at ``x`` (pure);
+    returns a float."""
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.dimension,):
         raise DimensionMismatch(
             f"point has shape {x.shape}, expected ({inst.dimension},)"
         )
-    return _bind(inst)(x)
+    return float(_bind(inst)(x))
 
 
 def _bind(inst):

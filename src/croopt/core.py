@@ -110,11 +110,11 @@ def evaluate_and_count(state, spec, solution):
     Raises NonFiniteObjective if the objective blows up; a defective
     objective must abort the run rather than poison the energy ledger.
     """
-    value = spec.evaluate(solution)
+    value = float(spec.evaluate(solution))
     if not math.isfinite(value):
         raise NonFiniteObjective(f"objective returned {value!r}")
     state.fe_count += 1
-    return float(value)
+    return value
 
 
 def total_energy(state):

@@ -4,11 +4,13 @@ Each reaction comes in two halves around the evaluation of its trial
 structures. The propose half (``_wall_trials``, ``_decomposition_trials``,
 ``_collision_trials``, ``_synthesis_trials``) makes every draw that comes
 before the evaluation and returns the trial structures. The run loop then
-evaluates them all and charges every evaluation, whether or not the
-reaction succeeds. The settle half, named after the reaction, takes their
-PEs, applies the energy criterion, makes every later draw and returns the
-outcome. Successful reactions redistribute energy exactly, so the reactor
-total (buffer + sum of PE + KE) is conserved; failed reactions advance only
+evaluates them all, charges every evaluation, whether or not the reaction
+succeeds, and tracks the best-ever from them. The settle half, named after
+the reaction, takes their PEs, applies the energy criterion, makes every
+later draw and returns the outcome. :data:`_PROPOSE` pairs each settle half
+with its propose half.
+Successful reactions redistribute energy exactly, so the reactor total
+(buffer + sum of PE + KE) is conserved; failed reactions advance only
 collision counters.
 
 A reaction trusts its caller, the run loop, to leave budget for its
@@ -18,20 +20,20 @@ in-range index, or of two distinct ones for a pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .core import Molecule
 from .operators import decompose_structure, neighborhood_search, synthesize_structure
 
 
-@dataclass
 class ReactionOutcome:
-    success: bool
-    #: Every trial structure evaluated by the reaction, with its PE, in
-    #: generation order. Used by the run loop for best-ever tracking.
-    new_structures: list[tuple[np.ndarray, float]]
+    """Whether a reaction succeeded; each returns one of the two shared below."""
+
+    __slots__ = ("success",)
+
+    def __init__(self, success):
+        self.success = success
+
+
+_SUCCEEDED, _FAILED = ReactionOutcome(True), ReactionOutcome(False)
 
 
 def _child_loss_rate(state, parent, rng):
@@ -67,7 +69,7 @@ def on_wall_collision(state, molecules, trials, pes, rng):
         q = mol.loss_rate + (1.0 - mol.loss_rate) * rng.random()
         state.buffer += excess * (1.0 - q)
         mol.accept(trial, trial_pe, excess * q)
-    return ReactionOutcome(success, [(trial, trial_pe)])
+    return _SUCCEEDED if success else _FAILED
 
 
 def _decomposition_trials(state, spec, molecules, rng):
@@ -104,7 +106,7 @@ def decomposition(state, molecules, trials, pes, rng):
             surplus = 0.0
             success = True
     if not success:
-        return ReactionOutcome(False, [(c1, pe1), (c2, pe2)])
+        return _FAILED
     share = rng.random()
     child1 = Molecule.fresh(c1, pe1, surplus * share, _child_loss_rate(state, mol, rng))
     child2 = Molecule.fresh(
@@ -113,7 +115,7 @@ def decomposition(state, molecules, trials, pes, rng):
     del state.population[index]
     state.population.append(child1)
     state.population.append(child2)
-    return ReactionOutcome(True, [(c1, pe1), (c2, pe2)])
+    return _SUCCEEDED
 
 
 def _collision_trials(state, spec, molecules, rng):
@@ -148,7 +150,7 @@ def intermolecular_collision(state, molecules, trials, pes, rng):
         k = rng.random()
         m1.accept(t1, pe1, pool * k)
         m2.accept(t2, pe2, pool * (1.0 - k))
-    return ReactionOutcome(success, [(t1, pe1), (t2, pe2)])
+    return _SUCCEEDED if success else _FAILED
 
 
 def _synthesis_trials(state, spec, molecules, rng):
@@ -184,4 +186,13 @@ def synthesis(state, molecules, trials, pes, rng):
         for index in sorted((i, j), reverse=True):
             del state.population[index]
         state.population.append(child)
-    return ReactionOutcome(success, [(trial, trial_pe)])
+    return _SUCCEEDED if success else _FAILED
+
+
+#: Each reaction's propose half, keyed by the reaction (its settle half).
+_PROPOSE = {
+    on_wall_collision: _wall_trials,
+    decomposition: _decomposition_trials,
+    intermolecular_collision: _collision_trials,
+    synthesis: _synthesis_trials,
+}

@@ -16,10 +16,7 @@ from croopt.core import (
 )
 from croopt.operators import BoundaryRule, SynthesisRule
 from croopt.reactions import (
-    _collision_trials,
-    _decomposition_trials,
-    _synthesis_trials,
-    _wall_trials,
+    _PROPOSE,
     decomposition,
     intermolecular_collision,
     on_wall_collision,
@@ -29,14 +26,6 @@ from croopt.reactions import (
 #: The four reactions, and the two of them that take a pair of molecules.
 REACTIONS = (on_wall_collision, decomposition, intermolecular_collision, synthesis)
 PAIR_REACTIONS = (intermolecular_collision, synthesis)
-
-#: Each reaction's propose half, keyed by the reaction (its settle half).
-PROPOSE = {
-    on_wall_collision: _wall_trials,
-    decomposition: _decomposition_trials,
-    intermolecular_collision: _collision_trials,
-    synthesis: _synthesis_trials,
-}
 
 
 def react(reaction, state, spec, *molecules_and_rng):
@@ -48,7 +37,7 @@ def react(reaction, state, spec, *molecules_and_rng):
     """
     *molecules, rng = molecules_and_rng
     molecules = tuple(molecules)
-    trials = PROPOSE[reaction](state, spec, molecules, rng)
+    trials = _PROPOSE[reaction](state, spec, molecules, rng)
     pes = [evaluate_and_count(state, spec, trial) for trial in trials]
     return reaction(state, molecules, trials, pes, rng)
 

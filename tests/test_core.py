@@ -6,11 +6,11 @@ import pytest
 import croopt.algorithms
 from croopt.algorithms import ACROConfig, CROConfig, run_acro, run_cro
 from croopt.benchmarks import as_objective, make_instance, sphere
-from croopt.core import evaluate_and_count, total_energy, update_best
+from croopt.core import ObjectiveSpec, evaluate_and_count, total_energy, update_best
 from croopt.errors import NonFiniteObjective
 from croopt.reactions import on_wall_collision
 
-from helpers import LedgerObserver, const_objective, make_state, molecule, react
+from helpers import LedgerObserver, box_bounds, const_objective, make_state, molecule, react
 
 
 def test_shifted_sphere_at_shift_is_zero():
@@ -49,6 +49,11 @@ def test_nonfinite_objective_raises():
     spec = const_objective(3, float("nan"))
     state = make_state([molecule(np.zeros(3), 0.0, 0.0)])
     with pytest.raises(NonFiniteObjective):
+        evaluate_and_count(state, spec, np.zeros(3))
+    # A numpy scalar is converted before the check, so the message reads as
+    # the run loop's does, under numpy 1 and 2 alike.
+    spec = ObjectiveSpec(*box_bounds(3), lambda x: np.float64("inf"))
+    with pytest.raises(NonFiniteObjective, match=r"^objective returned inf$"):
         evaluate_and_count(state, spec, np.zeros(3))
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import croopt
-from croopt import algorithms, harness
+from croopt import algorithms
 from croopt.algorithms import ACROConfig, Variant, default_config
 from croopt.benchmarks import TransformData, as_objective, make_instance
 from croopt.cli import main
@@ -442,7 +442,7 @@ def test_run_experiment_streams_records_to_sink():
 def test_run_experiment_cancels_queued_runs_after_a_failure():
     # A cell of 30 failing runs sits ahead of a cell of 30 good ones, and a
     # worker starts each. Reporting the first failure must not wait for the
-    # good cell: it stops at its next step, against the 15 run-times its
+    # good cell: it stops within 64 steps, against the 15 run-times its
     # runs take on two workers.
     inst = make_instance("f1", 10, SEED)
     good = ACROConfig(variant=Variant.ACRO_HP, max_fes=20_000)
@@ -459,30 +459,43 @@ def test_run_experiment_cancels_queued_runs_after_a_failure():
     assert elapsed < 6 * one_run + 1.0, f"{elapsed:.2f} s; one run takes {one_run:.2f} s"
 
 
-def _logged_run_task(log, task, run_task=harness._run_task):
+def _logged_drive(log, init, spec, cfg, rng, observer, drive=algorithms._drive):
+    # One line per run as it starts and one more if it finishes; pool
+    # workers inherit the patched name as forked copies of this process.
     with open(log, "a") as out:
-        out.write(".")
-    return run_task(task)
+        out.write(f"start {cfg.variant.value}\n")
+    result = yield from drive(init, spec, cfg, rng, observer)
+    with open(log, "a") as out:
+        out.write(f"end {cfg.variant.value}\n")
+    return result
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_run_experiment_cancels_queued_runs_after_a_sink_failure(
         tmp_path, monkeypatch, parallelism):
-    # The sink fails on its first record, as a full disk would. Each task
-    # that starts leaves one mark in the log; the 40 runs of the one cell
-    # make one task serially and one seed slice per worker in the pool, and
-    # no more may start.
-    log = tmp_path / "started"
-    monkeypatch.setattr(harness, "_run_task", partial(_logged_run_task, log))
+    # The sink fails on its first record, as a full disk would. A cell's
+    # records reach the sink once the whole cell is done, so the first
+    # cell (short ACRO/BP runs) runs whole; a long ACRO/HP cell and a short
+    # ACRO/BB one follow it. Serially no later run may start. In the pool
+    # the long cell runs beside the first and must stop within 64 steps,
+    # seconds before its runs could spend their budget.
+    log = tmp_path / "runs"
+    monkeypatch.setattr(algorithms, "_drive", partial(_logged_drive, log))
+    configs = [ACROConfig(max_fes=2_000),
+               ACROConfig(variant=Variant.ACRO_HP, max_fes=600_000),
+               ACROConfig(variant=Variant.ACRO_BB, max_fes=2_000)]
 
     def sink(record):
         raise OSError("no space left on device")
 
     with pytest.raises(OSError):
-        run_experiment([ACROConfig(max_fes=20_000)], [make_instance("f1", 10, SEED)],
-                       runs=40, base_seed=0, parallelism=parallelism, record_sink=sink)
-    started = len(log.read_text())
-    assert started <= (1 if parallelism == 1 else 19), f"{started} runs started"
+        run_experiment(configs, [make_instance("f1", 10, SEED)], runs=3, base_seed=0,
+                       parallelism=parallelism, record_sink=sink)
+    events = log.read_text().splitlines()
+    assert events.count("end ACRO/BP") == 3, events
+    assert "end ACRO/HP" not in events, events
+    if parallelism == 1:
+        assert events == ["start ACRO/BP"] * 3 + ["end ACRO/BP"] * 3
 
 
 def test_traces_are_nonincreasing():
@@ -583,7 +596,8 @@ def test_cli_overflow_writes_only_the_json_line_to_stderr(tmp_path, parallel):
     assert len(err_lines) == 1, proc.stderr
     parsed = json.loads(err_lines[0])
     assert parsed["error"] == "ExperimentError"
-    assert "NonFiniteObjective" in parsed["message"]
+    assert parsed["message"] == ("run failed for ACRO/BP on f1 (seed 0): "
+                                 "NonFiniteObjective('objective returned inf')")
 
 
 def test_cli_rejects_non_finite_cec_data_before_writing(tmp_path, capsys):
