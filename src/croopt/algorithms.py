@@ -282,8 +282,6 @@ def acro_init(spec, cfg, rng):
     every molecule, initial or born mid-run, gets its own folded-normal loss
     rate.
     """
-    if not isinstance(cfg, ACROConfig):
-        raise InvalidConfig("adaptive runs take an ACROConfig")
     state, structures, pes = _init_reactor(
         spec, cfg, rng,
         step_size=(spec.upper - spec.lower) / 2.0,
@@ -298,8 +296,6 @@ def acro_init(spec, cfg, rng):
 
 def cro_init(spec, cfg, rng):
     """Build the initial reactor for a canonical run (fixed global knobs)."""
-    if not isinstance(cfg, CROConfig):
-        raise InvalidConfig("canonical runs take a CROConfig")
     state, structures, pes = _init_reactor(
         spec, cfg, rng,
         step_size=np.full(len(spec.lower), float(cfg.step_size)),
@@ -390,33 +386,34 @@ def _extend_trace(trace, state, max_fes):
     return math.inf
 
 
-def _drive(init, spec, cfg, rng, observer):
+def _drive(spec, cfg, rng, observer):
     """One run of any variant, as a generator; it spends the budget exactly.
 
-    It validates the box and makes it float64, builds the reactor with
-    ``init`` (which evaluates the initial population itself), then runs the
-    reaction loop. The loop yields each reaction's trial structures, in
-    generation order, and takes back an iterable of their PEs. It charges
-    each PE as it arrives, checks it for finiteness and updates the
-    best-ever from it, whether or not the reaction then succeeds, before
-    the reaction's settle half runs. The generator returns the RunResult,
-    whose wall time leaves out the initialization. The config type picks
-    the two things ACRO changes after initialization: how the next reaction
-    is chosen, and how the step size adapts. ACRO feeds every best-update outcome to a SuccessRule; CRO/D
-    decays its step by the evaluation count after initialization and after
-    every reaction; the other canonical variants keep a fixed step. The
-    loop alone meets the reactions' preconditions: when a single evaluation
-    remains, an on-wall collision is forced, and a pair reaction gets two
-    distinct molecules.
+    It validates the box and makes it float64, builds the reactor (the
+    initializer evaluates the initial population), then runs the reaction
+    loop. The loop yields each reaction's trial structures, in generation
+    order, and is sent an iterator of their PEs. It reads each trial before
+    its PE, so it never takes a PE past its own trials: runs sent one
+    iterator in turn each take their own. It charges each PE as it arrives,
+    checks it for finiteness and updates the best-ever from it before the
+    settle half runs, whether or not the reaction succeeds. The generator
+    returns the RunResult, whose wall time leaves out the initialization.
+    The config type picks the initializer (looked up here as the run
+    starts), how the next reaction is chosen and how the step adapts: ACRO
+    feeds every best-update outcome to a SuccessRule, CRO/D decays its step
+    by the evaluation count after initialization and after every reaction,
+    and the other canonical variants keep a fixed step. The loop alone
+    meets the reactions' preconditions: with one evaluation left it forces
+    an on-wall collision, and a pair reaction gets two distinct molecules.
     """
     # A Generator subclass may override the replayed methods: not replayed.
     rng = _BitDraws(rng) if type(rng) is np.random.Generator else rng
     spec = ObjectiveSpec(*_validate_objective(spec), spec.evaluate)
-    state = init(spec, cfg, rng)
+    adaptive = isinstance(cfg, ACROConfig)
+    state = (acro_init if adaptive else cro_init)(spec, cfg, rng)
     started = time.perf_counter()
     isfinite = math.isfinite
     max_fes = int(cfg.max_fes)
-    adaptive = isinstance(cfg, ACROConfig)
     react = _react_acro if adaptive else _react_cro
     rule = SuccessRule(max(1, max_fes // 100)) if adaptive else None
     next_decay = cfg.adapt_interval if cfg.variant is Variant.CRO_D else math.inf
@@ -462,24 +459,27 @@ def run_acro(spec, cfg, rng, observer=None):
     it never receives the generator, so it cannot perturb the random stream.
     The box is validated and made float64 once, before any draw. numpy's
     floating-point warnings are silenced for the run: an objective that
-    overflows ends it with NonFiniteObjective instead.
+    overflows ends it with NonFiniteObjective instead. A config that is
+    not an ACROConfig is rejected before the box is checked.
     """
-    return _run(acro_init, spec, cfg, rng, observer)
+    _check(isinstance(cfg, ACROConfig), "adaptive runs take an ACROConfig")
+    return _run(spec, cfg, rng, observer)
 
 
 def run_cro(spec, cfg, rng, observer=None):
     """Run one canonical optimization until the evaluation budget is spent.
 
     ``observer``, the box validation and the silenced warnings work as for
-    :func:`run_acro`.
+    :func:`run_acro`; it rejects a config that is not a CROConfig first.
     """
-    return _run(cro_init, spec, cfg, rng, observer)
+    _check(isinstance(cfg, CROConfig), "canonical runs take a CROConfig")
+    return _run(spec, cfg, rng, observer)
 
 
-def _run(init, spec, cfg, rng, observer):
+def _run(spec, cfg, rng, observer):
     evaluate = spec.evaluate
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        run = _drive(init, spec, cfg, rng, observer)
+        run = _drive(spec, cfg, rng, observer)
         send = run.send
         try:
             trials = next(run)

@@ -111,22 +111,22 @@ def _run_task(task):
 
     Each run keeps its own generator and reactor. Every step stacks the
     trial structures the live runs wait on into one evaluate_batch call (a
-    lone point takes the scalar objective), and each run gets the PEs of
-    its own points, so its draws, trace and final are those of its lone
-    run. A run that raises stops, and so do the runs after it, which a
-    serial grid would never start. Returns the records up to the first
-    failed run, in seed order, and that run's ExperimentError, or None.
+    lone point takes the scalar objective) and sends the live runs, in
+    order, one iterator over the PEs, from which each takes its own; so a
+    run's draws, trace and final are those of its lone run. A run that
+    raises stops, and so do the runs after it, which a serial grid would
+    never start. Returns the records up to the first failed run, in seed
+    order, and that run's ExperimentError, or None.
     Every record's wall time is an equal share of the cell's loop time,
     which, as a lone run's, leaves out initialization.
     """
     config, instance, seeds = task
-    init = algorithms.acro_init if config.variant.adaptive else algorithms.cro_init
     spec = as_objective(instance)
-    runs = [algorithms._drive(init, spec, config, np.random.default_rng(seed), None)
+    runs = [algorithms._drive(spec, config, np.random.default_rng(seed), None)
             for seed in seeds]
     outcomes = [None] * len(runs)  # a RunResult or the exception a run raised
-    owed = [None] * len(runs)  # what each run is sent next: PEs, after its start
     live = list(range(len(runs)))
+    values = None  # what the live runs are sent next: PEs, after their start
     started = None
     steps = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -137,26 +137,22 @@ def _run_task(task):
             waiting, points = [], []
             for k in live:
                 try:
-                    trials = runs[k].send(owed[k])
+                    trials = runs[k].send(values)
                 except StopIteration as done:
                     outcomes[k] = done.value
                     continue
                 except Exception as exc:
                     outcomes[k] = exc
                     break
-                waiting.append((k, len(trials)))
+                waiting.append(k)
                 points += trials
             if started is None:  # every run has initialized
                 started = time.perf_counter()
             if len(points) == 1:
-                values = [spec.evaluate(points[0])]
+                values = map(spec.evaluate, points)
             elif points:
-                values = evaluate_batch(instance, np.array(points)).tolist()
-            at = 0
-            for k, n in waiting:
-                owed[k] = values[at:at + n]
-                at += n
-            live = [k for k, _ in waiting]
+                values = iter(evaluate_batch(instance, np.array(points)).tolist())
+            live = waiting
     share = (time.perf_counter() - started) / len(runs)
     records = []
     for seed, outcome in zip(seeds, outcomes):

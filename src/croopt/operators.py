@@ -82,8 +82,9 @@ class _BitDraws:
     Scalar ``random()``, ``integers(n)`` (2 <= n < 2**32) and ``normal(0.0, s)``
     (float s > 0) replay numpy's C routines on the bit generator's ``ctypes``
     interface: the unit double, Lemire's ``buffered_bounded_lemire_uint32`` on
-    ``next_uint32``, and ``random_normal``. Other draws and their errors are the
-    generator's own. The replay skips ``Generator.lock``: a run owns its generator.
+    ``next_uint32``, and ``random_standard_normal`` scaled by s. Other draws
+    and their errors are the generator's own. The replay skips
+    ``Generator.lock``: a run owns its generator.
     """
 
     def __init__(self, rng):

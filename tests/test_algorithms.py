@@ -331,6 +331,12 @@ def test_config_type_must_match_runner():
         run_acro(as_objective(inst), CROConfig(max_fes=1000), np.random.default_rng(0))
     with pytest.raises(InvalidConfig):
         run_cro(as_objective(inst), ACROConfig(max_fes=1000), np.random.default_rng(0))
+    # The config type is checked before the box.
+    mismatched = ObjectiveSpec([0.0, 0.0], [1.0], lambda x: 0.0)
+    with pytest.raises(InvalidConfig, match="adaptive runs take an ACROConfig"):
+        run_acro(mismatched, CROConfig(max_fes=1000), np.random.default_rng(0))
+    with pytest.raises(InvalidConfig, match="canonical runs take a CROConfig"):
+        run_cro(mismatched, ACROConfig(max_fes=1000), np.random.default_rng(0))
 
 
 def test_runs_are_bit_reproducible():

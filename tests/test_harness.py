@@ -150,16 +150,20 @@ def test_run_experiment_degenerate_budget_returns_initial_best():
 
 
 def test_run_experiment_is_parallelism_invariant():
+    # Two cells, one per worker, then one cell split into the seed slices
+    # [3] and [4, 5], which the workers run apart.
     instances = [make_instance("f1", 10, SEED)]
-    configs = [default_config(name, 2_000) for name in ("ACRO/BP", "CRO/BP")]
-    kwargs = dict(runs=2, base_seed=3)
-    summary1, records1 = run_experiment(configs, instances, parallelism=1, **kwargs)
-    summary2, records2 = run_experiment(configs, instances, parallelism=2, **kwargs)
-    assert render_summary_csv(summary1) == render_summary_csv(summary2)
-    for a, b in zip(records1, records2):
-        assert (a.algorithm, a.benchmark, a.seed) == (b.algorithm, b.benchmark, b.seed)
-        assert a.final_raw == b.final_raw
-        assert a.trace == b.trace
+    for names, runs in ((("ACRO/BP", "CRO/BP"), 2), (("ACRO/BP",), 3)):
+        configs = [default_config(name, 2_000) for name in names]
+        kwargs = dict(runs=runs, base_seed=3)
+        summary1, records1 = run_experiment(configs, instances, parallelism=1, **kwargs)
+        summary2, records2 = run_experiment(configs, instances, parallelism=2, **kwargs)
+        assert render_summary_csv(summary1) == render_summary_csv(summary2)
+        assert len(records1) == len(records2) == len(configs) * runs
+        for a, b in zip(records1, records2):
+            assert (a.algorithm, a.benchmark, a.seed) == (b.algorithm, b.benchmark, b.seed)
+            assert a.final_raw == b.final_raw
+            assert a.trace == b.trace
 
 
 def _step_count(config, instance, seed):
@@ -459,12 +463,12 @@ def test_run_experiment_cancels_queued_runs_after_a_failure():
     assert elapsed < 6 * one_run + 1.0, f"{elapsed:.2f} s; one run takes {one_run:.2f} s"
 
 
-def _logged_drive(log, init, spec, cfg, rng, observer, drive=algorithms._drive):
+def _logged_drive(log, spec, cfg, rng, observer, drive=algorithms._drive):
     # One line per run as it starts and one more if it finishes; pool
     # workers inherit the patched name as forked copies of this process.
     with open(log, "a") as out:
         out.write(f"start {cfg.variant.value}\n")
-    result = yield from drive(init, spec, cfg, rng, observer)
+    result = yield from drive(spec, cfg, rng, observer)
     with open(log, "a") as out:
         out.write(f"end {cfg.variant.value}\n")
     return result
