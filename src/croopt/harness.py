@@ -172,7 +172,8 @@ def run_experiment(configs, benchmarks, runs, base_seed, parallelism=1, record_s
     checked before any run starts: an entry that is not a valid config or
     not a BenchmarkInstance, an empty config or benchmark list, a variant or
     a benchmark label listed twice, ``runs`` or ``parallelism`` not an
-    integer >= 1, or ``base_seed`` not an integer >= 0 raises InvalidConfig.
+    integer >= 1, ``base_seed`` not an integer >= 0, or a ``record_sink``
+    that is neither None nor callable raises InvalidConfig.
     Each cell uses seeds base_seed .. base_seed+runs-1 and runs them in
     lockstep; each run's results are those of its lone run. A grid with
     fewer cells than ``parallelism`` splits each cell into contiguous seed
@@ -193,6 +194,8 @@ def run_experiment(configs, benchmarks, runs, base_seed, parallelism=1, record_s
                                ("base_seed", base_seed, 0)):
         if not _is_count(value, least):
             raise InvalidConfig(f"{name} must be an integer >= {least}, got {value!r}")
+    if record_sink is not None and not callable(record_sink):
+        raise InvalidConfig(f"record_sink must be callable, got {record_sink!r}")
     for kind, labels in (("algorithm", [config.variant.value for config in configs]),
                          ("benchmark", [inst.label for inst in benchmarks])):
         if not labels:

@@ -13,11 +13,11 @@ import pytest
 
 from croopt.algorithms import (
     ACROConfig,
+    _react_acro,
     default_config,
     draw_loss_rate,
     run_acro,
     run_cro,
-    select_reaction_acro,
 )
 from croopt.benchmarks import (
     FUNCTION_TABLE,
@@ -30,6 +30,7 @@ from croopt.benchmarks import (
 )
 from croopt.cli import main
 from croopt.harness import run_experiment
+from croopt.operators import _BitDraws
 from croopt.reactions import decomposition
 
 from helpers import REACTIONS, collect_conserved, drive_scripted_window, make_state, molecule
@@ -117,11 +118,12 @@ def test_criterion_05_feedback_controller_oracle():
     # Independent oracle: the Bernoulli realization of the feedback terms,
     # i.e. P(decomposition) = clamp(f_dec, 0, 1) for cur >= 2 and exactly 1
     # for a lone molecule. 1e6 draws give std <= 5e-4 per frequency, so the
-    # 0.005 bracket is ~10 sigma.
+    # 0.005 bracket is ~10 sigma. Each choice draws its molecules too; the
+    # replayed draws give the Generator's stream at half the cost per call.
     ini = 20
     draws = 1_000_000
     cfg = ACROConfig(ini_pop_size=ini, change_rate=1.0)
-    rng = np.random.default_rng(5)
+    rng = _BitDraws(np.random.default_rng(5))
     stub = molecule(np.zeros(3), 1.0, 0.0)
     state = make_state([stub])
     worst = 0.0
@@ -130,7 +132,7 @@ def test_criterion_05_feedback_controller_oracle():
         state.population = [stub] * cur
         dec = syn = 0
         for _ in range(draws):
-            kind = select_reaction_acro(state, cfg, rng)
+            kind, _ = _react_acro(state, cfg, rng)
             if kind is decomposition:
                 dec += 1
             else:

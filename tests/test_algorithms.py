@@ -8,6 +8,7 @@ from croopt.algorithms import (
     CROConfig,
     SuccessRule,
     Variant,
+    _react_acro,
     acro_init,
     cro_init,
     default_config,
@@ -15,7 +16,6 @@ from croopt.algorithms import (
     parse_variant,
     run_acro,
     run_cro,
-    select_reaction_acro,
     validate_config,
 )
 from croopt.benchmarks import as_objective, make_instance
@@ -24,7 +24,14 @@ from croopt.errors import DimensionMismatch, InvalidConfig
 from croopt.operators import BoundaryRule, SynthesisRule
 from croopt.reactions import decomposition, intermolecular_collision, on_wall_collision, synthesis
 
-from helpers import ScriptedRNG, drive_scripted_window, make_state, molecule, queue_objective
+from helpers import (
+    PAIR_REACTIONS,
+    ScriptedRNG,
+    drive_scripted_window,
+    make_state,
+    molecule,
+    queue_objective,
+)
 
 
 def test_variant_parsing_and_rules():
@@ -113,6 +120,15 @@ def test_draw_loss_rate_folds_and_caps():
     assert all(0.0 <= d <= 1.0 for d in draws)
 
 
+def _choose(state, cfg, rng):
+    """``_react_acro``'s choice, with its indices in range and a pair distinct."""
+    reaction, molecules = _react_acro(state, cfg, rng)
+    assert len(molecules) == (2 if reaction in PAIR_REACTIONS else 1)
+    assert all(0 <= i < len(state.population) for i in molecules)
+    assert len(set(molecules)) == len(molecules)
+    return reaction, molecules
+
+
 @pytest.mark.parametrize("size, threshold", [(2, 0.95), (20, 0.5), (40, 0.0)])
 def test_select_feedback_threshold(size, threshold):
     # With f_pop = (size - 20) / 20, decomposition needs a second draw below
@@ -120,23 +136,42 @@ def test_select_feedback_threshold(size, threshold):
     state = make_state([molecule(np.zeros(3), 1.0, 0.0) for _ in range(size)])
     cfg = ACROConfig(change_rate=1.0)  # even the largest first draw changes size
 
-    def select(draw):
-        rng = ScriptedRNG(random=[np.nextafter(1.0, 0.0), draw])
-        kind = select_reaction_acro(state, cfg, rng)
-        assert rng._random == []
-        return kind
+    def select(draw, integers):
+        rng = ScriptedRNG(random=[np.nextafter(1.0, 0.0), draw], integers=integers)
+        choice = _choose(state, cfg, rng)
+        assert rng._random == [] and rng._integers == []
+        return choice
 
-    assert select(threshold) is synthesis
+    # Of two molecules the second of a pair is the other one, with no draw.
+    pair_draws = [0, 0] if size > 2 else [0]
+    assert select(threshold, pair_draws) == (synthesis, (0, 1))
     if threshold > 0.0:
-        assert select(np.nextafter(threshold, 0.0)) is decomposition
+        assert select(np.nextafter(threshold, 0.0), [size - 1]) == (decomposition, (size - 1,))
+
+
+@pytest.mark.parametrize("size, random, integers, expected", [
+    (1, [0.0], [], (decomposition, (0,))),
+    (1, [0.5, 0.0], [], (on_wall_collision, (0,))),
+    (3, [0.5, 0.0], [2, 1], (intermolecular_collision, (2, 1))),
+    (3, [0.5, 0.9], [1], (on_wall_collision, (1,))),
+], ids=["lone-variable", "lone-constant", "pair", "on-wall"])
+def test_select_takes_every_draw_in_its_place(size, random, integers, expected):
+    # The change-rate draw comes first; a lone molecule decomposes with no
+    # feedback draw, and the coll_rate draw is taken even when no pair
+    # exists; the index draws come last.
+    state = make_state([molecule(np.zeros(3), 1.0, 0.0) for _ in range(size)])
+    cfg = ACROConfig(change_rate=0.1, coll_rate=0.2)
+    rng = ScriptedRNG(random=random, integers=integers)
+    assert _choose(state, cfg, rng) == expected
+    assert rng._random == [] and rng._integers == []
 
 
 def test_select_never_synthesizes_a_lone_molecule():
     state = make_state([molecule(np.zeros(3), 1.0, 0.0)])
     cfg = ACROConfig(change_rate=1.0)
     rng = np.random.default_rng(5)
-    kinds = {select_reaction_acro(state, cfg, rng) for _ in range(2_000)}
-    assert kinds == {decomposition}
+    choices = {_choose(state, cfg, rng) for _ in range(2_000)}
+    assert choices == {(decomposition, (0,))}
 
 
 def test_select_constant_branch_only_when_change_rate_zero():
@@ -144,7 +179,7 @@ def test_select_constant_branch_only_when_change_rate_zero():
     state = make_state(mols)
     cfg = ACROConfig(change_rate=0.0)
     rng = np.random.default_rng(6)
-    kinds = {select_reaction_acro(state, cfg, rng) for _ in range(2_000)}
+    kinds = {_choose(state, cfg, rng)[0] for _ in range(2_000)}
     assert kinds == {on_wall_collision, intermolecular_collision}
 
 
@@ -157,7 +192,7 @@ def test_select_variable_branch_frequency_matches_change_rate():
     rng = np.random.default_rng(7)
     variable = 0
     for _ in range(100_000):
-        kind = select_reaction_acro(state, cfg, rng)
+        kind, _ = _choose(state, cfg, rng)
         variable += kind in (decomposition, synthesis)
     assert 0.008 <= variable / 100_000 <= 0.012
 
@@ -167,9 +202,9 @@ def test_select_is_deterministic_per_seed():
     state = make_state(mols)
     cfg = ACROConfig(change_rate=0.3)
     rng_a = np.random.default_rng(9)
-    trace_a = [select_reaction_acro(state, cfg, rng_a) for _ in range(50)]
+    trace_a = [_choose(state, cfg, rng_a) for _ in range(50)]
     rng_b = np.random.default_rng(9)
-    trace_b = [select_reaction_acro(state, cfg, rng_b) for _ in range(50)]
+    trace_b = [_choose(state, cfg, rng_b) for _ in range(50)]
     assert trace_a == trace_b
 
 

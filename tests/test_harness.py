@@ -381,10 +381,11 @@ def test_run_experiment_wraps_failures_with_context():
     {"runs": 2.5}, {"runs": True}, {"parallelism": 2.5}, {"parallelism": True},
     {"base_seed": -1}, {"base_seed": 1.5}, {"base_seed": True},
     {"configs": ["ACRO/BP"]}, {"configs": [Variant.ACRO_BP]}, {"benchmarks": ["f1"]},
+    {"record_sink": "records.jsonl"},
 ], ids=["runs=0", "runs=-2", "parallelism=0", "max_fes=5", "coll_rate=2",
         "no-algorithms", "no-benchmarks", "runs=2.5", "runs=True", "parallelism=2.5",
         "parallelism=True", "base_seed=-1", "base_seed=1.5", "base_seed=True",
-        "name-entry", "variant-entry", "benchmark-name-entry"])
+        "name-entry", "variant-entry", "benchmark-name-entry", "sink-not-callable"])
 def test_run_experiment_rejects_a_grid_before_any_run(change):
     sink = []
     kwargs = dict(configs=[default_config("ACRO/BP", 200)],
